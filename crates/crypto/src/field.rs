@@ -374,6 +374,17 @@ define_field!(
     ])
 );
 
+impl Fp {
+    /// The Legendre symbol `(v/p)`: `1` for a nonzero square, `-1` for a
+    /// non-square, `0` for zero. Computed by [`U256::jacobi`] straight
+    /// on the Montgomery representation `v·R`: `R = 2^256` is itself a
+    /// square, so the factor does not change the symbol. Variable-time —
+    /// for public values only.
+    pub fn legendre(&self) -> i8 {
+        self.0.jacobi(&MODULUS_P)
+    }
+}
+
 define_field!(
     /// An element of the exponent field `Z_q` where `q = (p-1)/2` is the
     /// prime order of the SINTRA group. Secrets, shares, signature nonces,

@@ -10,7 +10,7 @@
 //! which enforce subgroup membership — a corrupted server handing out
 //! small-order garbage is part of the threat model.
 
-use crate::field::{Fp, Scalar, MODULUS_Q};
+use crate::field::{Fp, Scalar};
 use crate::hash::Hasher;
 use crate::simd::{LaneElem, QuadEngine};
 use crate::u256::U256;
@@ -97,15 +97,11 @@ impl GroupElement {
     ///
     /// Returns `None` if `v` is zero or not in the order-`q` subgroup.
     pub fn from_fp(v: Fp) -> Option<Self> {
-        if v.is_zero() {
-            return None;
-        }
-        // v is in the subgroup iff v^q == 1.
-        if v.pow(&MODULUS_Q) == Fp::ONE {
-            Some(GroupElement(v))
-        } else {
-            None
-        }
+        sintra_obs::global::crypto_membership_test();
+        // p = 2q + 1 is a safe prime, so the order-q subgroup is exactly
+        // the nonzero squares: v^q == 1 iff the Legendre symbol (v/p) is
+        // +1. Zero has symbol 0 and is rejected with the non-residues.
+        (v.legendre() == 1).then_some(GroupElement(v))
     }
 
     /// Parses and validates a 32-byte big-endian encoding.
@@ -791,6 +787,7 @@ impl core::fmt::Display for GroupElement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::MODULUS_Q;
 
     #[test]
     fn generator_is_in_subgroup() {
@@ -1213,6 +1210,45 @@ mod tests {
         }
         assert!(rejected, "some small integer must be a non-residue");
         assert!(GroupElement::from_fp(Fp::ZERO).is_none());
+    }
+
+    #[test]
+    fn membership_fixed_cases() {
+        // The oracle the Legendre-symbol test replaced.
+        let oracle = |v: &Fp| !v.is_zero() && v.pow(&MODULUS_Q) == Fp::ONE;
+        let p_minus_1 = Fp::ZERO - Fp::ONE;
+        // p ≡ 3 (mod 4), so −1 is a non-residue.
+        assert_eq!(Fp::modulus().limbs()[0] & 3, 3);
+        assert!(GroupElement::from_fp(p_minus_1).is_none());
+        assert!(GroupElement::from_fp(Fp::ZERO).is_none());
+        assert_eq!(
+            GroupElement::from_fp(Fp::ONE),
+            Some(GroupElement::identity())
+        );
+        for v in [Fp::ZERO, Fp::ONE, p_minus_1]
+            .into_iter()
+            .chain((2u64..200).map(Fp::from_u64))
+        {
+            assert_eq!(GroupElement::from_fp(v).is_some(), oracle(&v), "{v}");
+            // A residue's negation is a non-residue and vice versa.
+            if !v.is_zero() {
+                assert_ne!(
+                    GroupElement::from_fp(v).is_some(),
+                    GroupElement::from_fp(-v).is_some(),
+                    "±{v}"
+                );
+            }
+        }
+        // Values at and above p never reach the symbol through bytes.
+        let p = Fp::modulus();
+        assert_eq!(GroupElement::from_bytes(&p.to_be_bytes()), None);
+        let (p_plus_4, _) = p.overflowing_add(&U256::from_u64(4));
+        assert_eq!(GroupElement::from_bytes(&p_plus_4.to_be_bytes()), None);
+        assert_eq!(
+            GroupElement::from_bytes(&U256::from_u64(4).to_be_bytes()),
+            Some(GroupElement::generator())
+        );
+        assert_eq!(GroupElement::from_bytes(&[0u8; 32]), None);
     }
 
     #[test]

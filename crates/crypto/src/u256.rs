@@ -224,6 +224,78 @@ impl U256 {
         wide[..4].copy_from_slice(&self.limbs);
         Self::reduce_wide(&wide, m)
     }
+
+    /// The Jacobi symbol `(self / n)` for odd `n`: `0` when the two
+    /// share a factor, otherwise `±1`. For prime `n` this is the
+    /// Legendre symbol — `+1` exactly on the nonzero squares modulo `n`.
+    ///
+    /// Binary algorithm: shifts, comparisons and subtractions only, no
+    /// multiplication. Each step strips the factors of two from `a`
+    /// (`(2/n) = −1` iff `n ≡ ±3 mod 8`), orders the pair by quadratic
+    /// reciprocity (the sign flips iff both are `≡ 3 mod 4`) and
+    /// subtracts, which makes `a` even again. The operands only shrink,
+    /// so the work moves to three, two and finally one limb as their top
+    /// limbs clear. Running time depends on the operands: use it on
+    /// public values only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is even.
+    pub fn jacobi(&self, n: &U256) -> i8 {
+        assert!(n.is_odd(), "the Jacobi symbol needs an odd modulus");
+        let a = if self >= n { self.reduce(n) } else { *self };
+        let (mut a, mut n, mut neg) = (a.limbs, n.limbs, false);
+        jacobi_steps::<4>(&mut a, &mut n, &mut neg);
+        jacobi_steps::<3>(&mut a, &mut n, &mut neg);
+        jacobi_steps::<2>(&mut a, &mut n, &mut neg);
+        jacobi_steps::<1>(&mut a, &mut n, &mut neg);
+        // `a` reached zero, so `n` now holds gcd(self, n).
+        match (n == [1, 0, 0, 0], neg) {
+            (true, false) => 1,
+            (true, true) => -1,
+            (false, _) => 0,
+        }
+    }
+}
+
+/// Runs the binary Jacobi steps of [`U256::jacobi`] on the low `N` limbs
+/// of the operands (the higher limbs of both are zero) until `a` is zero
+/// or both fit in `N − 1` limbs; `neg` flips with every sign change. `n`
+/// must be odd and stays odd.
+fn jacobi_steps<const N: usize>(a: &mut [u64; 4], n: &mut [u64; 4], neg: &mut bool) {
+    while a[..N] != [0; N] && (N == 1 || (a[N - 1] | n[N - 1]) != 0) {
+        // Whole zero limbs first: 64 twos, an even count, leave the
+        // sign alone.
+        while a[0] == 0 {
+            a.copy_within(1..N, 0);
+            a[N - 1] = 0;
+        }
+        let z = a[0].trailing_zeros();
+        if z > 0 {
+            for i in 0..N - 1 {
+                a[i] = (a[i] >> z) | (a[i + 1] << (64 - z));
+            }
+            a[N - 1] >>= z;
+            if z & 1 == 1 && matches!(n[0] & 7, 3 | 5) {
+                *neg = !*neg;
+            }
+        }
+        // Both odd now: keep the larger in `a` (reciprocity), subtract.
+        let top = (0..N).rev().find(|&i| a[i] != n[i]).unwrap_or(0);
+        if a[top] < n[top] {
+            core::mem::swap(a, n);
+            if a[0] & n[0] & 3 == 3 {
+                *neg = !*neg;
+            }
+        }
+        let mut borrow = false;
+        for i in 0..N {
+            let (d, b1) = a[i].overflowing_sub(n[i]);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            a[i] = d;
+            borrow = b1 | b2;
+        }
+    }
 }
 
 impl Ord for U256 {
@@ -402,6 +474,54 @@ mod tests {
         let m = U256::from_limbs([123, 456, 789, 0xabc]);
         let v = U256::from_limbs([5, 6, 7, 8]);
         assert_eq!(v.reduce(&m), v);
+    }
+
+    #[test]
+    fn jacobi_small_moduli_match_euler() {
+        // Euler's criterion by brute force for small primes; 0 on a
+        // shared factor for composites.
+        for p in [3u64, 5, 7, 11, 13, 97, 199] {
+            let squares: std::collections::HashSet<u64> = (1..p).map(|x| x * x % p).collect();
+            for a in 0..p {
+                let expected = match a {
+                    0 => 0,
+                    a if squares.contains(&a) => 1,
+                    _ => -1,
+                };
+                assert_eq!(
+                    U256::from_u64(a).jacobi(&U256::from_u64(p)),
+                    expected,
+                    "({a}/{p})"
+                );
+            }
+        }
+        let n = U256::from_u64(15);
+        assert_eq!(U256::from_u64(6).jacobi(&n), 0, "shares the factor 3");
+        assert_eq!(U256::from_u64(2).jacobi(&n), 1, "(2/3)(2/5) = (-1)(-1)");
+        assert_eq!(U256::from_u64(7).jacobi(&n), -1, "(1/3)(2/5)");
+        assert_eq!(U256::from_u64(22).jacobi(&n), -1, "reduced first");
+        assert_eq!(U256::from_u64(5).jacobi(&U256::ONE), 1, "empty product");
+    }
+
+    #[test]
+    fn jacobi_crosses_limb_boundaries() {
+        // Operands whose low limbs are all zero, and a modulus that
+        // fills all four limbs: (2^k / n) = (2/n)^k.
+        let n = U256::from_limbs([u64::MAX - 4, u64::MAX, u64::MAX, u64::MAX]); // ≡ 3 mod 8
+        for (k, expected) in [(64usize, 1i8), (65, -1), (128, 1), (191, -1), (192, 1)] {
+            let mut limbs = [0u64; 4];
+            limbs[k / 64] = 1 << (k % 64);
+            assert_eq!(U256::from_limbs(limbs).jacobi(&n), expected, "2^{k}");
+        }
+        assert_eq!(n.jacobi(&n), 0);
+        assert_eq!(U256::ZERO.jacobi(&n), 0);
+        assert_eq!(U256::ONE.jacobi(&n), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "odd modulus")]
+    fn jacobi_rejects_even_modulus() {
+        U256::from_u64(3).jacobi(&U256::from_u64(8));
     }
 
     #[test]

@@ -80,6 +80,29 @@ proptest! {
     }
 
     #[test]
+    fn membership_test_matches_exponentiation_oracle(v in u256_strategy(), e in u256_strategy()) {
+        // The Legendre-symbol test against v^q == 1, on uniformly random
+        // field elements (about half are residues) …
+        let q = sintra_crypto::field::MODULUS_Q;
+        let fp = Fp::from_u256(&v);
+        let oracle = !fp.is_zero() && fp.pow(&q) == Fp::ONE;
+        prop_assert_eq!(fp.legendre(), if fp.is_zero() { 0 } else if oracle { 1 } else { -1 });
+        prop_assert_eq!(GroupElement::from_fp(fp).is_some(), oracle);
+        // … and through the byte decoder, which also refuses v ≥ p.
+        let canonical = v < Fp::modulus();
+        prop_assert_eq!(GroupElement::from_bytes(&v.to_be_bytes()).is_some(), canonical && oracle);
+        // Every power of a residue is a member; its negation never is.
+        if oracle {
+            let w = fp.pow(&e);
+            prop_assert!(GroupElement::from_fp(w).is_some());
+            prop_assert!(GroupElement::from_fp(-w).is_none());
+        }
+        // The symbol on plain integers agrees with the field's.
+        prop_assert_eq!(fp.to_u256().jacobi(&Fp::modulus()), fp.legendre());
+        prop_assert_eq!(v.jacobi(&Fp::modulus()), fp.legendre());
+    }
+
+    #[test]
     fn shamir_any_k_subset_reconstructs(seed in any::<u64>(), degree in 1usize..5) {
         let mut rng = SeededRng::new(seed);
         let secret = rng.next_scalar();

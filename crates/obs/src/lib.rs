@@ -302,6 +302,7 @@ pub mod global {
     static EXP: AtomicU64 = AtomicU64::new(0);
     static MULTI_EXP: AtomicU64 = AtomicU64::new(0);
     static BATCH_VERIFY: AtomicU64 = AtomicU64::new(0);
+    static MEMBERSHIP_TEST: AtomicU64 = AtomicU64::new(0);
 
     /// Turns global crypto-op counting on.
     pub fn enable() {
@@ -343,8 +344,17 @@ pub mod global {
         }
     }
 
-    /// Current `(exp, multi_exp, batch_verify)` totals as a snapshot
-    /// with `crypto.*` counter names.
+    /// Counts one group-element membership test (the validation every
+    /// element decoded from untrusted bytes goes through).
+    #[inline]
+    pub fn crypto_membership_test() {
+        if is_enabled() {
+            MEMBERSHIP_TEST.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Current `(exp, multi_exp, batch_verify, membership_test)` totals
+    /// as a snapshot with `crypto.*` counter names.
     pub fn snapshot() -> crate::MetricsSnapshot {
         let mut s = crate::MetricsSnapshot::default();
         s.counters
@@ -355,6 +365,10 @@ pub mod global {
             "crypto.batch_verify".into(),
             BATCH_VERIFY.load(Ordering::Relaxed),
         );
+        s.counters.insert(
+            "crypto.membership_test".into(),
+            MEMBERSHIP_TEST.load(Ordering::Relaxed),
+        );
         s
     }
 
@@ -363,6 +377,7 @@ pub mod global {
         EXP.store(0, Ordering::Relaxed);
         MULTI_EXP.store(0, Ordering::Relaxed);
         BATCH_VERIFY.store(0, Ordering::Relaxed);
+        MEMBERSHIP_TEST.store(0, Ordering::Relaxed);
     }
 
     thread_local! {
@@ -473,10 +488,14 @@ mod tests {
         global::crypto_multi_exp();
         global::crypto_multi_exp();
         global::crypto_batch_verify();
+        for _ in 0..3 {
+            global::crypto_membership_test();
+        }
         let s = global::snapshot();
         assert_eq!(s.counter("crypto.exp"), 1);
         assert_eq!(s.counter("crypto.multi_exp"), 2);
         assert_eq!(s.counter("crypto.batch_verify"), 1);
+        assert_eq!(s.counter("crypto.membership_test"), 3);
         global::disable();
         global::reset();
     }

@@ -32,6 +32,7 @@ use sintra_crypto::schnorr::Signature;
 use sintra_net::codec::MAX_PAYLOAD;
 use sintra_net::protocol::{Context, Effects, Protocol};
 use sintra_obs::{Event, EventKind, Layer};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -221,7 +222,9 @@ pub struct AtomicBroadcast {
     public: Arc<PublicParameters>,
     bundle: Arc<ServerKeyBundle>,
     round: u64,
-    queue: VecDeque<Vec<u8>>,
+    /// Payloads awaiting ordering, each with its digest (hashed once, on
+    /// entry).
+    queue: VecDeque<(Digest, Vec<u8>)>,
     queued_digests: HashSet<Digest>,
     /// Delivered-payload digest → delivery round, for duplicate
     /// suppression. Windowed: entries older than [`DEDUP_ROUNDS`]
@@ -241,6 +244,11 @@ pub struct AtomicBroadcast {
     push_bound: usize,
     /// Verified round proposals per round and party.
     proposals: BTreeMap<u64, HashMap<PartyId, (Vec<u8>, Signature)>>,
+    /// Per round: the digest of every payload some verified proposal in
+    /// `proposals` carries — what the pipelining trigger consults to
+    /// tell a payload already riding an open round from a fresh one.
+    /// Filled and dropped together with `proposals`.
+    carried: BTreeMap<u64, HashSet<Digest>>,
     sent_queued: BTreeSet<u64>,
     mvba_proposed: BTreeSet<u64>,
     mvbas: BTreeMap<u64, Mvba>,
@@ -315,6 +323,7 @@ impl AtomicBroadcast {
             charged: HashMap::new(),
             push_bound: DEFAULT_PUSH_BOUND,
             proposals: BTreeMap::new(),
+            carried: BTreeMap::new(),
             sent_queued: BTreeSet::new(),
             mvba_proposed: BTreeSet::new(),
             mvbas: BTreeMap::new(),
@@ -372,8 +381,8 @@ impl AtomicBroadcast {
     }
 
     /// Approximate bytes of retained completed-round state: decided
-    /// list encodings, buffered round proposals, and the delivered-
-    /// payload dedup window.
+    /// list encodings, buffered round proposals with their payload
+    /// digests, and the delivered-payload dedup window.
     pub fn retained_bytes(&self) -> usize {
         let lists: usize = self.decided_lists.values().map(Vec::len).sum();
         let props: usize = self
@@ -381,7 +390,8 @@ impl AtomicBroadcast {
             .values()
             .flat_map(|m| m.values())
             .map(|(p, _)| p.len() + 64)
-            .sum();
+            .sum::<usize>()
+            + self.carried.values().map(|c| c.len() * 32).sum::<usize>();
         // digest + round key in both the map and the round index
         let dedup = self.delivered.len() * 80;
         lists + props + dedup
@@ -544,14 +554,14 @@ impl AtomicBroadcast {
         self.try_progress(rng, out)
     }
 
-    /// Returns `true` when the payload was newly queued.
-    fn enqueue(&mut self, payload: Vec<u8>) -> bool {
+    /// Returns the payload's digest when it was newly queued.
+    fn enqueue(&mut self, payload: Vec<u8>) -> Option<Digest> {
         let d = digest(&payload);
         if payload.is_empty() || self.delivered.contains_key(&d) || !self.queued_digests.insert(d) {
-            return false;
+            return None;
         }
-        self.queue.push_back(payload);
-        true
+        self.queue.push_back((d, payload));
+        Some(d)
     }
 
     /// Handles a message, returning any new total-order deliveries.
@@ -574,8 +584,7 @@ impl AtomicBroadcast {
                 if self.push_debt[from] >= self.push_bound {
                     return Vec::new(); // flooding sender: buffer is bounded
                 }
-                let d = digest(&payload);
-                if self.enqueue(payload) {
+                if let Some(d) = self.enqueue(payload) {
                     self.push_debt[from] += 1;
                     self.charged.insert(d, from);
                 }
@@ -602,11 +611,13 @@ impl AtomicBroadcast {
                 // piggybacked on existing traffic.
                 self.ack_round[from] =
                     self.ack_round[from].max(round.saturating_sub(PIPELINE_ACK_SLACK));
-                self.proposals
-                    .entry(round)
-                    .or_default()
-                    .entry(from)
-                    .or_insert((encoded, sig));
+                if let Entry::Vacant(slot) = self.proposals.entry(round).or_default().entry(from) {
+                    slot.insert((encoded, sig));
+                    self.carried
+                        .entry(round)
+                        .or_default()
+                        .extend(batch.iter().map(|p| digest(p)));
+                }
                 self.try_progress(rng, out)
             }
             AbcMessage::Mvba { round, inner } => {
@@ -668,30 +679,69 @@ impl AtomicBroadcast {
     /// progress). The whole batch stays within the receiver-enforced
     /// structural bounds ([`QUEUED_BATCH_DECODE_CAP`], [`MAX_PAYLOAD`]).
     fn select_batch(&self) -> Vec<Vec<u8>> {
-        let covered = self.proposed_cover.values().copied().max().unwrap_or(0);
+        self.queue
+            .iter()
+            .take(self.batch_len())
+            .map(|(_, p)| p.clone())
+            .collect()
+    }
+
+    /// The widest queue prefix a still-open round of ours proposed.
+    fn covered(&self) -> usize {
+        self.proposed_cover.values().copied().max().unwrap_or(0)
+    }
+
+    /// Length of the queue prefix [`select_batch`](Self::select_batch)
+    /// proposes.
+    fn batch_len(&self) -> usize {
+        let covered = self.covered();
         let cap = covered
             .saturating_add(self.batch_cap)
             .min(QUEUED_BATCH_DECODE_CAP);
-        let mut batch: Vec<Vec<u8>> = Vec::new();
+        let mut len = 0usize;
         let mut total = 0usize;
         let mut fresh = 0usize;
-        for (i, p) in self.queue.iter().enumerate() {
-            if batch.len() >= cap {
+        for (_, p) in self.queue.iter().take(cap) {
+            if len > 0 && total + p.len() > MAX_PAYLOAD {
                 break;
             }
-            if !batch.is_empty() && total + p.len() > MAX_PAYLOAD {
-                break;
-            }
-            if i >= covered {
-                if !batch.is_empty() && fresh + p.len() > self.batch_bytes {
+            if len >= covered {
+                if len > 0 && fresh + p.len() > self.batch_bytes {
                     break;
                 }
                 fresh += p.len();
             }
             total += p.len();
-            batch.push(p.clone());
+            len += 1;
         }
-        batch
+        len
+    }
+
+    /// Whether the queue prefix of length `len` holds a payload that no
+    /// open round below `r` already carries — neither one of our own
+    /// proposals (`proposed_cover`) nor a verified proposal of a peer
+    /// (`carried`). The pipelining trigger: only such a payload is worth
+    /// a round of its own while its predecessors are still in flight.
+    ///
+    /// A peer's proposal counts, not just ours, because its `Queued`
+    /// often overtakes the submitter's `Push`: we then join the round
+    /// with a filler, and the late-pushed payload is in nobody's cover
+    /// here although every other party is already ordering it. Should
+    /// all its carriers lose round `r`, the payload is fresh again the
+    /// moment `r` closes (cover and `carried[r]` are dropped with it),
+    /// so a proposer that advertises a payload and goes silent delays
+    /// it by at most that one round.
+    fn has_fresh_payload(&self, r: u64, len: usize) -> bool {
+        self.queue
+            .iter()
+            .take(len)
+            .skip(self.covered())
+            .any(|(d, _)| {
+                !self
+                    .carried
+                    .range(self.round..r)
+                    .any(|(_, c)| c.contains(d))
+            })
     }
 
     /// Tick hook: applies off-thread verification verdicts that pool
@@ -747,11 +797,12 @@ impl AtomicBroadcast {
             let base = self.round;
             for r in base..base + self.pipeline_depth {
                 // Round r > base opens only once round r-1 reached a
-                // core proposal quorum (we proposed to its MVBA) — the
-                // pipelining trigger. Concurrent rounds may propose
-                // overlapping queue prefixes; delivery dedup keeps the
-                // overlap harmless and FIFO-preserving (see
-                // `select_batch`).
+                // core proposal quorum (we proposed to its MVBA), and
+                // then only for a payload no open round carries yet (or
+                // because a peer opened it) — the pipelining trigger.
+                // Concurrent rounds still propose overlapping queue
+                // prefixes; delivery dedup keeps the overlap harmless
+                // and FIFO-preserving (see `select_batch`).
                 if r > base && !self.mvba_proposed.contains(&(r - 1)) {
                     break;
                 }
@@ -765,8 +816,14 @@ impl AtomicBroadcast {
                         .map(|p| !p.is_empty())
                         .unwrap_or(false)
                         || self.decided_lists.contains_key(&r);
-                    let batch = self.select_batch();
-                    if !batch.is_empty() || round_active {
+                    let len = self.batch_len();
+                    let worth_a_round = if r == base {
+                        len > 0
+                    } else {
+                        self.has_fresh_payload(r, len)
+                    };
+                    if worth_a_round || round_active {
+                        let batch = self.select_batch();
                         self.sent_queued.insert(r);
                         let encoded = encode_batch(&batch);
                         let sig = self
@@ -843,6 +900,7 @@ impl AtomicBroadcast {
         let watermark = self.gc_watermark();
         self.decided_lists = self.decided_lists.split_off(&watermark);
         self.proposals = self.proposals.split_off(&self.round);
+        self.carried = self.carried.split_off(&self.round);
         let keep_from = self.round.saturating_sub(ROUND_RETROSPECT);
         self.mvbas = self.mvbas.split_off(&keep_from);
         // Round flags are consulted for the pipeline window, which
@@ -868,6 +926,7 @@ impl AtomicBroadcast {
         self.ack_round[self.me] = self.round;
         self.decided_lists = self.decided_lists.split_off(&self.round);
         self.proposals = self.proposals.split_off(&self.round);
+        self.carried = self.carried.split_off(&self.round);
         self.mvbas = self.mvbas.split_off(&self.round);
         self.sent_queued = self.sent_queued.split_off(&self.round);
         self.mvba_proposed = self.mvba_proposed.split_off(&self.round);
@@ -926,7 +985,7 @@ impl AtomicBroadcast {
                 // removing a covered position shrinks every cover past
                 // it by one.
                 if self.queued_digests.remove(&d) {
-                    if let Some(pos) = self.queue.iter().position(|p| digest(p) == d) {
+                    if let Some(pos) = self.queue.iter().position(|(q, _)| *q == d) {
                         self.queue.remove(pos);
                         for cover in self.proposed_cover.values_mut() {
                             if *cover > pos {
@@ -1280,7 +1339,10 @@ mod tests {
     use super::*;
     use sintra_adversary::structure::TrustStructure;
     use sintra_crypto::dealer::Dealer;
-    use sintra_net::sim::{Behavior, LifoScheduler, RandomScheduler, Simulation};
+    use sintra_net::sim::{
+        AdaptiveScheduler, Behavior, Envelope, FifoScheduler, LifoScheduler, RandomScheduler,
+        Scheduler, Simulation,
+    };
 
     fn nodes(n: usize, t: usize, seed: u64) -> Vec<AbcNode> {
         let ts = TrustStructure::threshold(n, t).unwrap();
@@ -1753,6 +1815,189 @@ mod tests {
                 "batching amortized rounds: {} completed",
                 abc.rounds_completed()
             );
+        }
+    }
+
+    /// Oldest-first, but every `Push` waits until nothing else is in
+    /// flight — so peers' `Queued` proposals overtake the submitter's
+    /// payload dissemination.
+    fn push_last_scheduler() -> AdaptiveScheduler<AbcMessage> {
+        AdaptiveScheduler::new(|inflight: &[Envelope<AbcMessage>], _, _| {
+            inflight
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| (matches!(e.msg, AbcMessage::Push(_)), e.sent_at))
+                .map(|(i, _)| i)
+                .expect("inflight nonempty")
+        })
+    }
+
+    #[test]
+    fn lone_request_is_ordered_by_exactly_one_round() {
+        // Default tuning (pipeline depth 2). While round 0 is in flight
+        // its payload is still in every queue; it must not buy a second
+        // round — neither at its proposers (own cover) nor at a party
+        // that joined with a filler because a peer's `Queued` overtook
+        // the `Push` (carried by the peer's proposal).
+        for (n, t) in [(4, 1), (10, 3)] {
+            let schedulers: [Box<dyn Scheduler<AbcMessage>>; 2] =
+                [Box::new(FifoScheduler), Box::new(push_last_scheduler())];
+            for (i, scheduler) in schedulers.into_iter().enumerate() {
+                let mut sim = Simulation::builder(nodes(n, t, 180), scheduler)
+                    .seed(181)
+                    .build();
+                sim.input(0, b"lone".to_vec());
+                sim.run_until_quiet(100_000_000);
+                for p in 0..n {
+                    assert_eq!(
+                        delivered_payloads(&sim, p),
+                        vec![b"lone".to_vec()],
+                        "n={n} scheduler {i} party {p}"
+                    );
+                    assert_eq!(
+                        sim.node(p).unwrap().endpoint().rounds_completed(),
+                        1,
+                        "n={n} scheduler {i} party {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn second_request_opens_a_round_before_the_first_delivers() {
+        let mut sim = Simulation::builder(nodes(4, 1, 190), FifoScheduler)
+            .seed(191)
+            .build();
+        sim.input(0, b"first".to_vec());
+        sim.input(0, b"second".to_vec());
+        // "second" is in no round-0 proposal, so round 1 opens for it as
+        // soon as round 0 has its proposal quorum — two rounds in flight
+        // means the frontier round has not delivered yet.
+        let overlapped = sim.run_until(100_000_000, |s| {
+            s.node(0).unwrap().endpoint().rounds_in_flight() == 2
+        });
+        assert!(overlapped, "round 1 never opened while round 0 was open");
+        assert_eq!(sim.node(0).unwrap().endpoint().delivered_count(), 0);
+        sim.run_until_quiet(100_000_000);
+        for p in 0..4 {
+            assert_eq!(
+                delivered_payloads(&sim, p),
+                vec![b"first".to_vec(), b"second".to_vec()],
+                "party {p}"
+            );
+            assert_eq!(sim.node(p).unwrap().endpoint().rounds_completed(), 2);
+        }
+    }
+
+    #[test]
+    fn payload_whose_carriers_lose_is_fresh_once_the_round_closes() {
+        let ts = TrustStructure::threshold(4, 1).unwrap();
+        let mut rng = SeededRng::new(6);
+        let (public, bundles) = Dealer::deal(&ts, &mut rng);
+        let tag = Tag::root("abc");
+        let mut node =
+            AtomicBroadcast::new(tag.clone(), Arc::new(public), Arc::new(bundles[0].clone()));
+        let queued = |party: usize, round: u64, batch: Vec<Vec<u8>>, rng: &mut SeededRng| {
+            let msg = tag.message(&[b"queued", &round.to_be_bytes(), &encode_batch(&batch)]);
+            let sig = bundles[party].auth_key().sign(&msg, rng);
+            AbcMessage::Queued { round, batch, sig }
+        };
+        let x = b"advertised".to_vec();
+        let mut out = Outbox::new(4);
+        // Party 3 advertises X in round 0 before X reaches our queue: we
+        // join with a filler. Then the push lands, and fillers from 1
+        // and 2 complete the proposal quorum.
+        let m = queued(3, 0, vec![x.clone()], &mut rng);
+        node.on_message(3, m, &mut rng, &mut out);
+        node.on_message(1, AbcMessage::Push(x.clone()), &mut rng, &mut out);
+        for party in [1, 2] {
+            let m = queued(party, 0, Vec::new(), &mut rng);
+            node.on_message(party, m, &mut rng, &mut out);
+        }
+        assert!(node.mvba_proposed.contains(&0), "round 0 has its quorum");
+        assert_eq!(node.proposed_cover[&0], 0, "we joined with a filler");
+        assert_eq!(node.queue_len(), 1, "X is queued and in nobody's cover");
+        assert_eq!(
+            node.rounds_in_flight(),
+            1,
+            "X rides party 3's round-0 proposal: no round of its own"
+        );
+        // Round 0 decides a list that leaves party 3's proposal out.
+        let losers: Vec<(PartyId, Vec<u8>, Signature)> = node.proposals[&0]
+            .iter()
+            .filter(|(party, _)| **party != 3)
+            .map(|(party, (encoded, sig))| (*party, encoded.clone(), *sig))
+            .collect();
+        node.decided_lists.insert(0, encode_list(&losers));
+        let mut out = Outbox::new(4);
+        assert!(node.on_tick(&mut rng, &mut out).is_empty());
+        // The round closed without X, its digest set went with it, and
+        // the base round's rule proposes X at once.
+        assert_eq!(node.round(), 1);
+        assert!(node.carried.is_empty());
+        assert!(out.as_slice().iter().any(|(_, m)| matches!(
+            m,
+            AbcMessage::Queued { round: 1, batch, .. } if *batch == vec![x.clone()]
+        )));
+    }
+
+    #[test]
+    fn advertise_then_silence_costs_at_most_one_round() {
+        // Corrupted party 3 advertises X in a correctly signed round-0
+        // proposal, pushes X to everyone, and never speaks again. An
+        // honest party that holds both treats X as carried and opens no
+        // round for it while round 0 is open; whether or not round 0's
+        // decided list includes party 3's entry, X is out by round 1.
+        for seed in 0..4u64 {
+            let ts = TrustStructure::threshold(4, 1).unwrap();
+            let mut rng = SeededRng::new(200 + seed);
+            let (public, bundles) = Dealer::deal(&ts, &mut rng);
+            let key = bundles[3].auth_key().clone();
+            let batch = vec![b"advertised".to_vec()];
+            let msg =
+                Tag::root("abc").message(&[b"queued", &0u64.to_be_bytes(), &encode_batch(&batch)]);
+            let sig = key.sign(&msg, &mut rng);
+            let mut spoke = false;
+            let advertiser = Behavior::Custom(Box::new(move |_, _, _| {
+                if std::mem::replace(&mut spoke, true) {
+                    return Vec::new();
+                }
+                (0..3)
+                    .flat_map(|p| {
+                        let queued = AbcMessage::Queued {
+                            round: 0,
+                            batch: batch.clone(),
+                            sig,
+                        };
+                        [(p, queued), (p, AbcMessage::Push(batch[0].clone()))]
+                    })
+                    .collect()
+            }));
+            let mut sim = Simulation::builder(abc_nodes(public, bundles, seed), RandomScheduler)
+                .seed(210 + seed)
+                .corrupt(3, advertiser)
+                .build();
+            sim.input(0, b"honest".to_vec());
+            sim.run_until_quiet(100_000_000);
+            let reference = sim.outputs(0).to_vec();
+            let mut payloads: Vec<&[u8]> = reference.iter().map(|d| d.payload.as_slice()).collect();
+            payloads.sort();
+            assert_eq!(
+                payloads,
+                vec![&b"advertised"[..], &b"honest"[..]],
+                "seed {seed}"
+            );
+            assert!(reference.iter().all(|d| d.round <= 1), "seed {seed}");
+            for p in 0..3 {
+                assert_eq!(
+                    sim.outputs(p),
+                    reference.as_slice(),
+                    "seed {seed} party {p}"
+                );
+                let rounds = sim.node(p).unwrap().endpoint().rounds_completed();
+                assert!(rounds <= 2, "seed {seed} party {p}: {rounds} rounds");
+            }
         }
     }
 
