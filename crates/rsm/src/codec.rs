@@ -27,6 +27,19 @@ fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     buf.extend_from_slice(bytes);
 }
 
+/// Encoded length of an [`RsmMessage::State`] with these parts, so a
+/// responder can tell that a transfer fits a frame before serialising
+/// the snapshot.
+pub(crate) fn state_len(
+    snapshot_len: usize,
+    dedup_entries: usize,
+    cert: &ThresholdSignature,
+    tail_payload_lens: impl Iterator<Item = usize>,
+) -> usize {
+    let tail: usize = tail_payload_lens.map(|p| 8 + 8 + 32 + 4 + p).sum();
+    1 + 3 * 8 + 4 + snapshot_len + 4 + dedup_entries * 40 + cert.size_bytes() + 4 + tail
+}
+
 impl<M: WireCodec> WireCodec for RsmMessage<M> {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
@@ -193,6 +206,22 @@ mod tests {
 
     fn roundtrip(msg: &RsmMessage<RbcMessage>) {
         let bytes = msg.encode();
+        if let RsmMessage::State {
+            snapshot,
+            dedup,
+            cert,
+            tail,
+            ..
+        } = msg
+        {
+            let predicted = state_len(
+                snapshot.len(),
+                dedup.len(),
+                cert,
+                tail.iter().map(|e| e.3.len()),
+            );
+            assert_eq!(predicted, bytes.len(), "state_len matches the encoder");
+        }
         let decoded = RsmMessage::<RbcMessage>::decode_exact(&bytes).unwrap();
         assert_eq!(bytes, decoded.encode(), "canonical re-encode");
     }

@@ -35,5 +35,5 @@ pub use shard_router::{
     shard_config, shard_of, shard_tag, sharded_nodes, ShardId, ShardInput, ShardMessage,
     ShardReply, ShardedNode, MAX_SHARDS,
 };
-pub use state::{EchoMachine, KvMachine, StateMachine};
+pub use state::{Checkpoint, EchoMachine, KvMachine, StateMachine};
 pub use txn::{txid, txn_tokens, TxnAuth, TxnKvMachine, TxnTokens};

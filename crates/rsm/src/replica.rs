@@ -10,6 +10,7 @@
 //! set obtains a signature verifiable against the single service key —
 //! clients need not know individual servers.
 
+use crate::codec::{state_len, MAX_FRAME};
 use crate::config::ReplicaConfig;
 use crate::shard_router::ShardId;
 use crate::state::StateMachine;
@@ -323,29 +324,34 @@ pub fn reply_message(tag: &Tag, request: &Digest, seq: u64, response: &[u8]) -> 
 
 /// Builds the byte string checkpoint shares sign: the service tag binds
 /// the certificate to this deployment, `seq`/`round` pin the prefix,
-/// and `digest` commits to the snapshot bytes and the transport's
+/// and `digest` commits to the machine state and the transport's
 /// delivered-payload dedup window (see [`ckpt_digest`]).
 pub fn ckpt_message(tag: &Tag, seq: u64, round: u64, digest: &Digest) -> Vec<u8> {
     tag.message(&[b"ckpt", &seq.to_be_bytes(), &round.to_be_bytes(), digest])
 }
 
-/// The digest a checkpoint certificate covers: the application snapshot
-/// *plus* the ordering layer's delivered-payload dedup window. Binding
-/// the window into the certificate means a rejoining replica restores
-/// dedup state vouched for by a qualified quorum — its post-transfer
-/// skip/deliver decisions then match the live quorum's exactly, so a
-/// Byzantine re-push of an old payload cannot skew its sequence
-/// numbering relative to the survivors.
-pub fn ckpt_digest(snapshot: &[u8], dedup: &[(u64, Digest)]) -> Digest {
-    let mut bytes = Vec::with_capacity(snapshot.len() + 12 + dedup.len() * 40);
-    bytes.extend_from_slice(&(snapshot.len() as u64).to_be_bytes());
-    bytes.extend_from_slice(snapshot);
+/// The digest a checkpoint certificate covers: the machine's state
+/// root ([`StateMachine::checkpoint`]) *plus* the ordering layer's
+/// delivered-payload dedup window. Binding the window into the
+/// certificate means a rejoining replica restores dedup state vouched
+/// for by a qualified quorum — its post-transfer skip/deliver decisions
+/// then match the live quorum's exactly, so a Byzantine re-push of an
+/// old payload cannot skew its sequence numbering relative to the
+/// survivors.
+pub fn ckpt_digest(state_root: &Digest, dedup: &[(u64, Digest)]) -> Digest {
+    digest(&ckpt_preimage(state_root, dedup))
+}
+
+/// The bytes [`ckpt_digest`] hashes.
+fn ckpt_preimage(state_root: &Digest, dedup: &[(u64, Digest)]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(36 + dedup.len() * 40);
+    bytes.extend_from_slice(state_root);
     bytes.extend_from_slice(&(dedup.len() as u32).to_be_bytes());
     for (round, d) in dedup {
         bytes.extend_from_slice(&round.to_be_bytes());
         bytes.extend_from_slice(d);
     }
-    digest(&bytes)
+    bytes
 }
 
 /// Default checkpoint cadence in agreement rounds.
@@ -362,8 +368,15 @@ const STATE_TAIL_CAP: usize = 1024;
 /// Cached replies retained for resubmitted requests.
 const REPLY_CACHE_CAP: usize = 1024;
 
-/// Initial state-fetch retry delay, in ticks.
+/// Initial state-fetch retry delay, in ticks; also the least spacing
+/// at which a responder serves the same peer again, so an honest
+/// fetcher's retries are never refused.
 const FETCH_RETRY_TICKS: u64 = 8;
+
+/// Largest `State` encoding worth building: what one transport frame
+/// carries, less the shard id a [`crate::shard_router`] deployment
+/// wraps around every message.
+const STATE_FRAME_CAP: usize = MAX_FRAME - 4;
 
 /// State-fetch retry backoff cap, in ticks.
 const FETCH_RETRY_CAP: u64 = 128;
@@ -443,20 +456,31 @@ pub enum RsmMessage<M> {
 /// A checkpoint carrying a qualified-quorum certificate: the replica
 /// serves state transfers from it and prunes everything older.
 #[derive(Clone, Debug)]
-pub struct StableCheckpoint {
+pub struct StableCheckpoint<S> {
     /// Next sequence after the checkpointed prefix.
     pub seq: u64,
     /// Round whose delivery completed the prefix.
     pub round: u64,
-    /// The [`ckpt_digest`] the certificate covers (snapshot ‖ dedup
+    /// The [`ckpt_digest`] the certificate covers (state root ‖ dedup
     /// window).
     pub digest: Digest,
-    /// The snapshot bytes.
-    pub snapshot: Vec<u8>,
+    /// The machine as it stood at the checkpoint. A clone, so it shares
+    /// with the live machine whatever that has not written since;
+    /// serialised only when a transfer is served.
+    pub frozen: S,
+    /// Length of `frozen.snapshot()`, known without serialising.
+    pub encoded_len: usize,
     /// The transport dedup window at the checkpoint.
     pub dedup: Vec<(u64, Digest)>,
     /// Threshold signature over [`ckpt_message`] by a qualified set.
     pub cert: ThresholdSignature,
+}
+
+impl<S: StateMachine> StableCheckpoint<S> {
+    /// Serialises the checkpointed state.
+    pub fn snapshot(&self) -> Vec<u8> {
+        self.frozen.snapshot()
+    }
 }
 
 /// One ordered-log entry as shipped in a `State` tail:
@@ -465,10 +489,11 @@ type TailEntry = (u64, u64, Digest, Vec<u8>);
 
 /// A locally taken checkpoint awaiting its certificate.
 #[derive(Debug)]
-struct PendingCkpt {
+struct PendingCkpt<S> {
     round: u64,
     digest: Digest,
-    snapshot: Vec<u8>,
+    frozen: S,
+    encoded_len: usize,
     dedup: Vec<(u64, Digest)>,
 }
 
@@ -519,7 +544,7 @@ pub struct Replica<L: OrderingLayer, S: StateMachine> {
     /// at stabilization.
     log: BTreeMap<u64, (u64, Digest, Vec<u8>)>,
     /// Locally taken checkpoints awaiting certificates, keyed by seq.
-    pending_ckpts: BTreeMap<u64, PendingCkpt>,
+    pending_ckpts: BTreeMap<u64, PendingCkpt<S>>,
     /// Verified checkpoint shares, keyed by (seq, round, digest).
     /// Bounded: only near-future rounds are pooled, with a per-sender
     /// cap, so Byzantine fabricated tuples cannot pin memory.
@@ -529,12 +554,21 @@ pub struct Replica<L: OrderingLayer, S: StateMachine> {
     /// qualified set of senders — a single Byzantine replica cannot
     /// put an up-to-date replica into fetch mode.
     ckpt_hints: Vec<Option<(u64, u64, Digest)>>,
-    stable: Option<StableCheckpoint>,
+    stable: Option<StableCheckpoint<S>>,
+    /// Bytes the parked checkpoints (pending and stable) pin beyond the
+    /// live state. Walking their buckets is too slow for the
+    /// per-message gauge, so this is refreshed whenever a checkpoint is
+    /// cut, certified or adopted — at least once per interval.
+    parked_bytes: usize,
     /// Answered requests: seq → (request digest, response); lets a
     /// resubmitted request be re-answered without re-ordering it.
     reply_cache: BTreeMap<u64, (Digest, Vec<u8>)>,
     reply_index: HashMap<Digest, u64>,
     fetch: Option<FetchJob>,
+    /// Ticks seen; the clock `served_at` is read against.
+    ticks: u64,
+    /// Per peer, the tick at which we last served it a `State`.
+    served_at: Vec<Option<u64>>,
     /// Index of the last checkpoint-interval boundary acted on
     /// (`(round + 1) / ckpt_interval` at the triggering delivery).
     /// With pipelining, a boundary round can be empty (all-filler) and
@@ -628,9 +662,12 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
             ckpt_shares: HashMap::new(),
             ckpt_hints: vec![None; n],
             stable: None,
+            parked_bytes: 0,
             reply_cache: BTreeMap::new(),
             reply_index: HashMap::new(),
             fetch: None,
+            ticks: 0,
+            served_at: vec![None; n],
             ckpt_div: 0,
             pending_at: HashMap::new(),
             shard,
@@ -663,7 +700,7 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
     }
 
     /// The latest certified checkpoint, if any.
-    pub fn stable_checkpoint(&self) -> Option<&StableCheckpoint> {
+    pub fn stable_checkpoint(&self) -> Option<&StableCheckpoint<S>> {
         self.stable.as_ref()
     }
 
@@ -693,20 +730,30 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
         self.log.len()
     }
 
-    /// Approximate bytes pinned by the log, reply cache, and snapshots.
+    /// Approximate bytes pinned by the log, reply cache, and parked
+    /// checkpoints. A parked checkpoint counts for what it alone keeps
+    /// alive — the state the live machine has since overwritten — not
+    /// for the size of the state it describes.
     pub fn retained_bytes(&self) -> usize {
         let log: usize = self.log.values().map(|(_, _, p)| p.len() + 48).sum();
         let cache: usize = self.reply_cache.values().map(|(_, r)| r.len() + 40).sum();
+        log + cache + self.parked_bytes
+    }
+
+    fn refresh_parked_bytes(&mut self) {
+        let parked = |frozen: &S, encoded_len: usize, dedup: &[(u64, Digest)]| {
+            frozen.pinned_bytes(&self.machine).unwrap_or(encoded_len) + dedup.len() * 40 + 48
+        };
         let pending: usize = self
             .pending_ckpts
             .values()
-            .map(|p| p.snapshot.len() + p.dedup.len() * 40 + 48)
+            .map(|p| parked(&p.frozen, p.encoded_len, &p.dedup))
             .sum();
         let stable = self
             .stable
             .as_ref()
-            .map_or(0, |s| s.snapshot.len() + s.dedup.len() * 40 + 48);
-        log + cache + pending + stable
+            .map_or(0, |s| parked(&s.frozen, s.encoded_len, &s.dedup));
+        self.parked_bytes = pending + stable;
     }
 
     /// Total pooled checkpoint-signature shares (observability for the
@@ -842,21 +889,29 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
         if self.stable.as_ref().is_some_and(|s| s.seq >= seq) {
             return;
         }
-        let snapshot = self.machine.snapshot();
+        let state = self.machine.checkpoint();
         let dedup = self.layer.dedup_window();
-        let d = ckpt_digest(&snapshot, &dedup);
+        let preimage = ckpt_preimage(&state.root, &dedup);
+        let d = digest(&preimage);
         let msg = ckpt_message(&self.tag, seq, round, &d);
         let share = self.bundle.signing_key().sign_share(&msg, &mut self.rng);
         ctx.obs.inc(Layer::Rsm, "ckpt_taken");
+        ctx.obs.add(
+            Layer::Rsm,
+            "ckpt_hashed_bytes",
+            (state.hashed_bytes + preimage.len()) as u64,
+        );
         self.pending_ckpts.insert(
             seq,
             PendingCkpt {
                 round,
                 digest: d,
-                snapshot,
+                frozen: self.machine.clone(),
+                encoded_len: state.encoded_len,
                 dedup,
             },
         );
+        self.refresh_parked_bytes();
         // Broadcast includes self: our own share joins the pool through
         // the normal delivery path.
         fx.broadcast(RsmMessage::CkptShare {
@@ -941,11 +996,13 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
                     seq,
                     round,
                     digest: d,
-                    snapshot: p.snapshot,
+                    frozen: p.frozen,
+                    encoded_len: p.encoded_len,
                     dedup: p.dedup,
                     cert,
                 });
                 self.prune_to(seq);
+                self.refresh_parked_bytes();
             }
             Some(p) => {
                 // A quorum certified a snapshot that differs from ours:
@@ -1016,15 +1073,30 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
         fx: &mut Effects<RsmMessage<L::Message>, Reply>,
     ) {
         let Some(stable) = &self.stable else { return };
-        if stable.seq <= have_seq {
+        if stable.seq <= have_seq || from >= self.served_at.len() {
             return;
         }
-        let tail: Vec<(u64, u64, Digest, Vec<u8>)> = self
-            .log
-            .range(stable.seq..)
-            .take(STATE_TAIL_CAP)
-            .map(|(s, (r, td, p))| (*s, *r, *td, p.clone()))
-            .collect();
+        // A nine-byte request buys an encode and up to a megabyte on
+        // the wire, so a peer is served no more often than an honest
+        // fetcher asks.
+        if self.served_at[from].is_some_and(|at| self.ticks < at + FETCH_RETRY_TICKS) {
+            ctx.obs.inc(Layer::Rsm, "state_serve_throttled");
+            return;
+        }
+        let tail = || self.log.range(stable.seq..).take(STATE_TAIL_CAP);
+        let frame_len = state_len(
+            stable.encoded_len,
+            stable.dedup.len(),
+            &stable.cert,
+            tail().map(|(_, (_, _, p))| p.len()),
+        );
+        if frame_len > STATE_FRAME_CAP {
+            // The transport would drop it at origin: don't serialise
+            // what cannot be carried. Chunked pull lifts the limit.
+            ctx.obs.inc(Layer::Rsm, "state_too_large");
+            return;
+        }
+        self.served_at[from] = Some(self.ticks);
         ctx.obs.inc(Layer::Rsm, "state_served");
         fx.send(
             from,
@@ -1032,10 +1104,12 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
                 seq: stable.seq,
                 round: stable.round,
                 next_round: self.layer.current_round(),
-                snapshot: stable.snapshot.clone(),
+                snapshot: stable.snapshot(),
                 dedup: stable.dedup.clone(),
                 cert: stable.cert.clone(),
-                tail,
+                tail: tail()
+                    .map(|(s, (r, td, p))| (*s, *r, *td, p.clone()))
+                    .collect(),
             },
         );
     }
@@ -1063,7 +1137,13 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
             ctx.obs.inc(Layer::Rsm, "state_rejected");
             return;
         }
-        let d = ckpt_digest(&snapshot, &dedup);
+        // The certificate covers the state root, not the bytes: restore
+        // them into a scratch machine and recompute it.
+        let Some(root) = self.machine.snapshot_root(&snapshot) else {
+            ctx.obs.inc(Layer::Rsm, "state_rejected");
+            return;
+        };
+        let d = ckpt_digest(&root, &dedup);
         let msg = ckpt_message(&self.tag, seq, round, &d);
         if !self
             .public
@@ -1156,11 +1236,16 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
         // quorum, and resubmissions hit the cache.
         let mut dedup = c.dedup.clone();
         let mut last_round = c.round;
+        // Bring the machine's digest cache up to date *before* freezing
+        // it, so the frozen copy and the live machine share clean state
+        // instead of each re-deriving (and un-sharing) it later.
+        let state = self.machine.checkpoint();
         self.stable = Some(StableCheckpoint {
             seq: c.seq,
             round: c.round,
             digest: c.digest,
-            snapshot: c.snapshot,
+            frozen: self.machine.clone(),
+            encoded_len: state.encoded_len,
             dedup: c.dedup,
             cert: c.cert,
         });
@@ -1188,6 +1273,7 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
         // Boundaries below the resume round are covered by the adopted
         // snapshot; don't re-checkpoint them.
         self.ckpt_div = self.ckpt_div.max(target_round / self.ckpt_interval);
+        self.refresh_parked_bytes();
         ctx.obs.inc(Layer::Rsm, "state_adopted");
     }
 
@@ -1271,6 +1357,7 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
     }
 
     fn handle_tick(&mut self, ctx: &Context, fx: &mut Effects<RsmMessage<L::Message>, Reply>) {
+        self.ticks += 1;
         // Drive the ordering layer's tick first: off-thread verification
         // verdicts and pipelined round transitions arrive here, so this
         // must run even when no fetch job is active.
@@ -1727,7 +1814,7 @@ mod tests {
             );
             // The certified snapshot matches a fresh restore.
             let mut m = KvMachine::new();
-            assert!(m.restore(&stable.snapshot));
+            assert!(m.restore(&stable.snapshot()));
         }
     }
 
@@ -2267,7 +2354,7 @@ mod tests {
             seq: stable.seq,
             round: stable.round,
             next_round: stable.round + 3,
-            snapshot: stable.snapshot.clone(),
+            snapshot: stable.snapshot(),
             dedup: stable.dedup.clone(),
             cert: stable.cert.clone(),
             tail: (0..3u64)
@@ -2333,6 +2420,163 @@ mod tests {
             nodes[0].machine().snapshot(),
             "forged tail entries were never applied"
         );
+    }
+
+    /// A context that records, so tests can read the `rsm.*` counters.
+    fn observed(me: PartyId) -> Context {
+        Context {
+            obs: sintra_obs::Obs::enabled(16),
+            ..Context::disabled(me, 4)
+        }
+    }
+
+    /// Four replicas started from `machine`, one request ordered with a
+    /// checkpoint every round, so each holds a stable checkpoint of it.
+    fn nodes_with_stable_checkpoint(seed: u64, machine: &KvMachine) -> Vec<AbcReplica> {
+        let (public, bundles) = deal(4, 1, seed);
+        let mut nodes = atomic_replicas_with(
+            &ReplicaConfig::new().seed(seed).ckpt_interval(1),
+            public,
+            bundles,
+            |_| machine.clone(),
+        );
+        let mut queue = Queued::new();
+        submit(
+            &mut nodes,
+            &mut queue,
+            0,
+            KvMachine::encode_set(b"k", b"v"),
+            &mut Vec::new(),
+        );
+        pump(&mut nodes, &mut queue, None, &mut Vec::new());
+        assert!(nodes[0].stable_checkpoint().is_some());
+        nodes
+    }
+
+    /// `MAX_FRAME` is 1 MiB and the transport refuses a larger frame at
+    /// origin, so a `State` over a bigger snapshot can never arrive:
+    /// the responder must say so (`rsm.state_too_large`) without paying
+    /// for the encode, instead of letting the fetcher time out on
+    /// frames that were silently dropped.
+    #[test]
+    fn state_too_large_for_a_frame_is_refused_unserialised() {
+        let mut big = KvMachine::new();
+        for i in 0..20_000u32 {
+            let mut key = [0u8; 16];
+            key[12..].copy_from_slice(&i.to_be_bytes());
+            big.apply(&KvMachine::encode_set(&key, &[7u8; 64]));
+        }
+        let mut nodes = nodes_with_stable_checkpoint(41, &big);
+        let stable = nodes[0].stable_checkpoint().unwrap();
+        assert!(stable.encoded_len > MAX_FRAME, "{}", stable.encoded_len);
+        assert_eq!(stable.encoded_len, stable.snapshot().len());
+        let ctx = observed(0);
+        let mut fx = Effects::for_parties(4);
+        nodes[0].on_message_ctx(&ctx, 3, RsmMessage::FetchState { have_seq: 0 }, &mut fx);
+        assert!(fx.take_sends().is_empty(), "no State is emitted");
+        let counters = ctx.obs.metrics_snapshot();
+        assert_eq!(counters.counter("rsm.state_too_large"), 1);
+        assert_eq!(counters.counter("rsm.state_served"), 0);
+    }
+
+    /// A `FetchState` is nine bytes and its answer is an encode plus up
+    /// to a megabyte: one peer gets one answer per `FETCH_RETRY_TICKS`,
+    /// which is as often as an honest fetcher asks.
+    #[test]
+    fn fetch_state_flood_from_one_peer_is_served_once_per_retry_period() {
+        let mut nodes = nodes_with_stable_checkpoint(43, &KvMachine::new());
+        let ctx = observed(0);
+        let mut fx = Effects::for_parties(4);
+        for _ in 0..100 {
+            nodes[0].on_message_ctx(&ctx, 3, RsmMessage::FetchState { have_seq: 0 }, &mut fx);
+        }
+        let sends = fx.take_sends();
+        assert_eq!(sends.len(), 1, "100 requests inside one tick, one State");
+        assert!(matches!(sends[0], (3, RsmMessage::State { .. })));
+        let counters = ctx.obs.metrics_snapshot();
+        assert_eq!(counters.counter("rsm.state_served"), 1);
+        assert_eq!(counters.counter("rsm.state_serve_throttled"), 99);
+        // Another peer is not affected, and the flooder is served again
+        // once a retry period has passed.
+        nodes[0].on_message_ctx(&ctx, 2, RsmMessage::FetchState { have_seq: 0 }, &mut fx);
+        assert_eq!(fx.take_sends().len(), 1);
+        for _ in 0..FETCH_RETRY_TICKS {
+            nodes[0].on_tick(&mut fx);
+        }
+        fx.take_sends();
+        nodes[0].on_message_ctx(&ctx, 3, RsmMessage::FetchState { have_seq: 0 }, &mut fx);
+        assert_eq!(fx.take_sends().len(), 1);
+    }
+
+    /// The certificate covers the state root, not the snapshot bytes,
+    /// so the fetcher must recompute the root from what it was sent:
+    /// flipping any one byte of a genuine snapshot — count, a length, a
+    /// key, a value — gets the `State` rejected, and the untouched one
+    /// is still adopted afterwards.
+    #[test]
+    fn state_with_one_flipped_snapshot_byte_is_rejected() {
+        let (public, bundles) = deal(4, 1, 45);
+        let (b0, b1, b3) = (bundles[0].clone(), bundles[1].clone(), bundles[3].clone());
+        let public_arc = Arc::new(public.clone());
+        let cfg = ReplicaConfig::new().seed(45).ckpt_interval(4);
+        let mut nodes = atomic_replicas_with(&cfg, public, bundles, |_| KvMachine::new());
+        let mut queue = Queued::new();
+        for i in 0..10u32 {
+            submit(
+                &mut nodes,
+                &mut queue,
+                0,
+                KvMachine::encode_set(format!("k{i}").as_bytes(), b"v"),
+                &mut Vec::new(),
+            );
+            pump(&mut nodes, &mut queue, None, &mut Vec::new());
+        }
+        let stable = nodes[0].stable_checkpoint().expect("stable").clone();
+        let snapshot = stable.snapshot();
+        // Replica 3 restarts empty; two honest hints start its fetch.
+        nodes[3] = atomic_replica_with(&cfg, public_arc, Arc::new(b3), KvMachine::new());
+        let msg = ckpt_message(&Tag::root("rsm"), stable.seq, stable.round, &stable.digest);
+        let mut rng = SeededRng::new(5);
+        for (p, b) in [(0, &b0), (1, &b1)] {
+            let share = b.signing_key().sign_share(&msg, &mut rng);
+            let hint = RsmMessage::CkptShare {
+                seq: stable.seq,
+                round: stable.round,
+                digest: stable.digest,
+                share,
+            };
+            nodes[3].on_message(p, hint, &mut Effects::for_parties(4));
+        }
+        assert!(nodes[3].is_fetching());
+        let transfer = |snapshot: Vec<u8>| RsmMessage::State {
+            seq: stable.seq,
+            round: stable.round,
+            next_round: stable.round + 1,
+            snapshot,
+            dedup: stable.dedup.clone(),
+            cert: stable.cert.clone(),
+            tail: Vec::new(),
+        };
+        let ctx = observed(3);
+        let mut fx = Effects::for_parties(4);
+        for i in 0..snapshot.len() {
+            let mut bad = snapshot.clone();
+            bad[i] ^= 1;
+            nodes[3].on_message_ctx(&ctx, 0, transfer(bad), &mut fx);
+            assert_eq!(
+                ctx.obs.metrics_snapshot().counter("rsm.state_rejected"),
+                i as u64 + 1,
+                "flip at byte {i}"
+            );
+        }
+        assert!(nodes[3].is_fetching());
+        assert_eq!(nodes[3].applied(), 0, "nothing tampered was adopted");
+        for p in [0, 1] {
+            nodes[3].on_message_ctx(&ctx, p, transfer(snapshot.clone()), &mut fx);
+        }
+        assert!(!nodes[3].is_fetching(), "the genuine transfer completes");
+        assert_eq!(nodes[3].applied(), stable.seq);
+        assert_eq!(nodes[3].machine().snapshot(), snapshot);
     }
 
     #[test]

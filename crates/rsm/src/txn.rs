@@ -70,7 +70,7 @@
 //! shard already committed, in which case roll the revealed commit
 //! token forward.
 
-use crate::state::{KvMachine, StateMachine};
+use crate::state::{Checkpoint, KvMachine, StateMachine};
 use sintra_protocols::common::{digest, Digest};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -256,6 +256,38 @@ impl TxnKvMachine {
         self.pending.len()
     }
 
+    /// Canonical encoding of everything but the store: locks
+    /// (BTreeMap order), staged transactions with their token
+    /// commitments (BTreeMap order), decisions (deterministic FIFO
+    /// order, flag per entry).
+    fn encode_tables(&self) -> Vec<u8> {
+        let mut out = (self.locks.len() as u32).to_be_bytes().to_vec();
+        for (k, id) in &self.locks {
+            out.extend_from_slice(&(k.len() as u32).to_be_bytes());
+            out.extend_from_slice(k);
+            out.extend_from_slice(id);
+        }
+        out.extend_from_slice(&(self.pending.len() as u32).to_be_bytes());
+        for (id, staged) in &self.pending {
+            out.extend_from_slice(id);
+            out.extend_from_slice(&staged.auth.h_commit);
+            out.extend_from_slice(&staged.auth.h_abort);
+            out.extend_from_slice(&(staged.ops.len() as u32).to_be_bytes());
+            for (k, v) in &staged.ops {
+                out.extend_from_slice(&(k.len() as u32).to_be_bytes());
+                out.extend_from_slice(k);
+                out.extend_from_slice(&(v.len() as u32).to_be_bytes());
+                out.extend_from_slice(v);
+            }
+        }
+        out.extend_from_slice(&(self.decided_order.len() as u32).to_be_bytes());
+        for id in &self.decided_order {
+            out.extend_from_slice(id);
+            out.push(u8::from(self.decided[id]));
+        }
+        out
+    }
+
     fn record_decision(&mut self, id: Digest, committed: bool) {
         if self.decided.insert(id, committed).is_none() {
             self.decided_order.push_back(id);
@@ -426,38 +458,32 @@ impl StateMachine for TxnKvMachine {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        // Canonical: inner snapshot length-prefixed, then locks
-        // (BTreeMap order), staged transactions with their token
-        // commitments (BTreeMap order), decisions (deterministic FIFO
-        // order, flag per entry).
+        // Canonical: inner snapshot length-prefixed, then the 2PC
+        // tables.
         let inner = self.inner.snapshot();
         let mut out = (inner.len() as u32).to_be_bytes().to_vec();
         out.extend_from_slice(&inner);
-        out.extend_from_slice(&(self.locks.len() as u32).to_be_bytes());
-        for (k, id) in &self.locks {
-            out.extend_from_slice(&(k.len() as u32).to_be_bytes());
-            out.extend_from_slice(k);
-            out.extend_from_slice(id);
-        }
-        out.extend_from_slice(&(self.pending.len() as u32).to_be_bytes());
-        for (id, staged) in &self.pending {
-            out.extend_from_slice(id);
-            out.extend_from_slice(&staged.auth.h_commit);
-            out.extend_from_slice(&staged.auth.h_abort);
-            out.extend_from_slice(&(staged.ops.len() as u32).to_be_bytes());
-            for (k, v) in &staged.ops {
-                out.extend_from_slice(&(k.len() as u32).to_be_bytes());
-                out.extend_from_slice(k);
-                out.extend_from_slice(&(v.len() as u32).to_be_bytes());
-                out.extend_from_slice(v);
-            }
-        }
-        out.extend_from_slice(&(self.decided_order.len() as u32).to_be_bytes());
-        for id in &self.decided_order {
-            out.extend_from_slice(id);
-            out.push(u8::from(self.decided[id]));
-        }
+        out.extend_from_slice(&self.encode_tables());
         out
+    }
+
+    fn checkpoint(&mut self) -> Checkpoint {
+        // The store's incremental root, composed with a hash of the
+        // tables: they are small (bounded by in-flight transactions and
+        // `DECIDED_CAP`), the store is not.
+        let inner = self.inner.checkpoint();
+        let tables = self.encode_tables();
+        let mut bytes = inner.root.to_vec();
+        bytes.extend_from_slice(&tables);
+        Checkpoint {
+            root: digest(&bytes),
+            encoded_len: 4 + inner.encoded_len + tables.len(),
+            hashed_bytes: inner.hashed_bytes + bytes.len(),
+        }
+    }
+
+    fn pinned_bytes(&self, live: &Self) -> Option<usize> {
+        Some(self.inner.pinned_bytes(&live.inner)? + self.encode_tables().len())
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> bool {
