@@ -8,10 +8,13 @@
 //! vs. batched plus combining, for both share flavors: coin shares
 //! (Chaum-Pedersen/DLEQ proofs, two equations each — the dominant cost
 //! of every ABBA round) and signature shares (Schnorr, one equation
-//! each). CI runs this as a smoke step so the repo keeps a perf
-//! trajectory across PRs, and the run enforces the fast path's headline
-//! claim: batched DLEQ quorum verification must be at least 3× faster
-//! than the seed per-share path at `n = 10`.
+//! each), plus verifying the combined certificate of those signatures
+//! (`sig_aggregate_verify_ns`, one batch equation). CI runs this as a
+//! smoke step so the repo keeps a perf trajectory across PRs, and the
+//! run enforces the fast path's headline claims at `n = 10`: batched
+//! DLEQ quorum verification at least 3× faster than the seed per-share
+//! path, and a certificate check at most 0.6× its signatures checked
+//! one by one.
 //!
 //! The run also sweeps the verification engine's two scaling axes —
 //! worker threads (`VerifyPool`) × rounds aggregated per grouped batch
@@ -88,6 +91,7 @@ struct QuorumRow {
     sig_batch_ns: f64,
     sig_speedup: f64,
     sig_combine_ns: f64,
+    sig_aggregate_ns: f64,
 }
 
 fn profile_quorum(n: usize, t: usize) -> QuorumRow {
@@ -110,6 +114,9 @@ fn profile_quorum(n: usize, t: usize) -> QuorumRow {
         .map(|b| b.signing_key().sign_share(message, &mut rng))
         .collect();
     let signing = public.signing();
+    let certificate = signing
+        .combine_preverified(&sig_shares, QuorumRule::Qualified)
+        .expect("qualified signature share set combines");
 
     // Interleave the competing paths so machine-load drift cancels in
     // the per-share vs. batch comparison.
@@ -117,6 +124,7 @@ fn profile_quorum(n: usize, t: usize) -> QuorumRow {
     let mut coin_batch = Vec::with_capacity(rounds);
     let mut sig_per_share = Vec::with_capacity(rounds);
     let mut sig_batch = Vec::with_capacity(rounds);
+    let mut sig_aggregate = Vec::with_capacity(rounds);
     for _ in 0..rounds {
         ns_min(&mut coin_per_share, || {
             coin_shares.iter().all(|s| coin.verify_share(coin_name, s))
@@ -133,11 +141,15 @@ fn profile_quorum(n: usize, t: usize) -> QuorumRow {
                 .verify_shares(message, &sig_shares, &mut rng)
                 .expect("honest signature shares verify")
         });
+        ns_min(&mut sig_aggregate, || {
+            assert!(signing.verify(message, &certificate, QuorumRule::Qualified));
+        });
     }
     let coin_per_share_ns = min_of(&coin_per_share);
     let coin_batch_ns = min_of(&coin_batch);
     let sig_per_share_ns = min_of(&sig_per_share);
     let sig_batch_ns = min_of(&sig_batch);
+    let sig_aggregate_ns = min_of(&sig_aggregate);
     let coin_speedup = paired_ratio(&coin_per_share, &coin_batch);
     let sig_speedup = paired_ratio(&sig_per_share, &sig_batch);
 
@@ -162,6 +174,7 @@ fn profile_quorum(n: usize, t: usize) -> QuorumRow {
         sig_batch_ns,
         sig_speedup,
         sig_combine_ns,
+        sig_aggregate_ns,
     }
 }
 
@@ -381,6 +394,7 @@ fn main() {
             "sig/share",
             "sig/batch",
             "speedup",
+            "sig/aggregate",
         ],
         &quorums
             .iter()
@@ -394,6 +408,7 @@ fn main() {
                     format!("{:.0}", q.sig_per_share_ns),
                     format!("{:.0}", q.sig_batch_ns),
                     format!("{:.2}x", q.sig_speedup),
+                    format!("{:.0}", q.sig_aggregate_ns),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -437,7 +452,8 @@ fn main() {
              \"coin_per_share_verify_ns\": {:.1}, \"coin_batch_verify_ns\": {:.1}, \
              \"coin_batch_speedup\": {:.2}, \"coin_combine_ns\": {:.1}, \
              \"sig_per_share_verify_ns\": {:.1}, \"sig_batch_verify_ns\": {:.1}, \
-             \"sig_batch_speedup\": {:.2}, \"sig_combine_ns\": {:.1}}}{}\n",
+             \"sig_batch_speedup\": {:.2}, \"sig_combine_ns\": {:.1}, \
+             \"sig_aggregate_verify_ns\": {:.1}}}{}\n",
             q.n,
             q.t,
             q.coin_per_share_ns,
@@ -448,6 +464,7 @@ fn main() {
             q.sig_batch_ns,
             q.sig_speedup,
             q.sig_combine_ns,
+            q.sig_aggregate_ns,
             if i + 1 < quorums.len() { "," } else { "" },
         ));
     }
@@ -478,6 +495,13 @@ fn main() {
         at_10.coin_speedup >= 3.0,
         "batched DLEQ quorum verification must be >= 3x the per-share path at n = 10, got {:.2}x",
         at_10.coin_speedup
+    );
+    assert!(
+        at_10.sig_aggregate_ns <= 0.6 * at_10.sig_per_share_ns,
+        "verifying a certificate's signatures in one batch equation must cost <= 0.6x \
+         checking them one by one at n = 10, got {:.0} vs {:.0} ns",
+        at_10.sig_aggregate_ns,
+        at_10.sig_per_share_ns
     );
     let best = sweep
         .iter()

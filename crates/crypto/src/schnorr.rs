@@ -10,7 +10,7 @@
 
 use crate::field::Scalar;
 use crate::group::GroupElement;
-use crate::hash::Hasher;
+use crate::hash::{Hasher, Sha256};
 use crate::rng::SeededRng;
 use serde::{Deserialize, Serialize};
 
@@ -31,7 +31,7 @@ pub struct PublicKey(GroupElement);
 /// random-linear-combination *batch* verification possible: the verifier
 /// can check `g^z = R · pk^c` as a group equation without recomputing
 /// `R` inside the challenge hash, so many such equations can be folded
-/// into one multi-exponentiation (see [`crate::tsig::AggregateScheme::verify_shares`]).
+/// into one multi-exponentiation (see [`PublicKey::verify_batch`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Signature {
     pub(crate) commitment: GroupElement,
@@ -81,6 +81,60 @@ impl PublicKey {
         let c = challenge(self, &sig.commitment, message);
         let lhs = GroupElement::generator().exp(&sig.response);
         lhs == sig.commitment.mul(&self.0.exp(&c))
+    }
+
+    /// Verifies many signatures, each under its own key and over its own
+    /// message, as one random linear combination of their equations
+    /// `g^{z_i} == R_i · pk_i^{c_i}`:
+    ///
+    /// ```text
+    /// Π R_i^{r_i} · Π pk_i^{r_i c_i} == g^{Σ r_i z_i}
+    /// ```
+    ///
+    /// — one multi-exponentiation against one fixed-base power of `g`,
+    /// with `r_0 = 1` and 128-bit `r_i` hashed from every challenge and
+    /// response. A challenge binds its key, commitment and message, so
+    /// the weights are a random-oracle function of the whole batch:
+    /// changing any signature redraws all of them, and an invalid batch
+    /// passes with probability 2⁻¹²⁸ per attempt (DESIGN.md §8). That
+    /// needs every element in the prime-order subgroup, which decoding
+    /// guarantees. No rng is consumed, so callers stay deterministic.
+    ///
+    /// `true` on an empty batch. A `false` names no culprit.
+    pub fn verify_batch(items: &[(&PublicKey, &[u8], &Signature)]) -> bool {
+        sintra_obs::global::crypto_sig_verify();
+        // Consecutive items over one message (a certificate's signers)
+        // share its hash midstate.
+        let mut prefix_msg: &[u8] = &[];
+        let mut prefix = challenge_prefix(prefix_msg);
+        let mut transcript = Hasher::new("sintra/schnorr-batch");
+        let mut challenges = Vec::with_capacity(items.len());
+        for &(pk, msg, sig) in items {
+            if msg != prefix_msg {
+                prefix_msg = msg;
+                prefix = challenge_prefix(msg);
+            }
+            let c = challenge_suffix(&prefix, pk, &sig.commitment);
+            let mut cz = [0u8; 64];
+            cz[..32].copy_from_slice(&c.to_be_bytes());
+            cz[32..].copy_from_slice(&sig.response.to_be_bytes());
+            transcript = transcript.fixed(&cz);
+            challenges.push(c);
+        }
+        let seed = transcript.finish();
+        let mut z = Scalar::ZERO;
+        let mut terms = Vec::with_capacity(2 * items.len());
+        for (i, (&(pk, _, sig), c)) in items.iter().zip(challenges).enumerate() {
+            let r = if i == 0 {
+                Scalar::ONE
+            } else {
+                batch_weight(&seed, i)
+            };
+            z = z + r * sig.response;
+            terms.push((sig.commitment, r));
+            terms.push((pk.0, r * c));
+        }
+        GroupElement::multi_exp(&terms) == GroupElement::generator().exp(&z)
     }
 
     /// The underlying group element (for batch verification).
@@ -169,6 +223,23 @@ pub(crate) fn challenge_suffix(
     prefix.clone().fixed(&buf).finish_scalar()
 }
 
+/// Weight `i` of a [`PublicKey::verify_batch`] equation: the low 128
+/// bits of `SHA-256(seed ‖ i)`, one compression block. Zero (probability
+/// 2⁻¹²⁸) becomes one so no signature drops out of the sum.
+fn batch_weight(seed: &[u8; 32], i: usize) -> Scalar {
+    let mut h = Sha256::new();
+    h.update(seed);
+    h.update(&(i as u64).to_be_bytes());
+    let mut wide = [0u8; 32];
+    wide[16..].copy_from_slice(&h.finalize()[16..]);
+    let r = Scalar::from_be_bytes(&wide);
+    if r.is_zero() {
+        Scalar::ONE
+    } else {
+        r
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +306,112 @@ mod tests {
         let pk = key.public_key();
         assert_eq!(PublicKey::from_bytes(&pk.to_bytes()), Some(pk));
         assert_eq!(PublicKey::from_bytes(&[0xff; 32]), None);
+    }
+
+    /// Signs `k` distinct messages under `k` fresh keys (the shape of an
+    /// ABC proposal's entry signatures).
+    fn signed(k: usize, seed: u64) -> (Vec<PublicKey>, Vec<Vec<u8>>, Vec<Signature>) {
+        let mut rng = SeededRng::new(seed);
+        let keys: Vec<SigningKey> = (0..k).map(|_| SigningKey::generate(&mut rng)).collect();
+        let msgs: Vec<Vec<u8>> = (0..k).map(|i| format!("entry {i}").into_bytes()).collect();
+        let sigs = keys
+            .iter()
+            .zip(&msgs)
+            .map(|(key, m)| key.sign(m, &mut rng))
+            .collect();
+        (keys.iter().map(|k| k.public_key()).collect(), msgs, sigs)
+    }
+
+    fn items<'a>(
+        pks: &'a [PublicKey],
+        msgs: &'a [Vec<u8>],
+        sigs: &'a [Signature],
+    ) -> Vec<(&'a PublicKey, &'a [u8], &'a Signature)> {
+        pks.iter()
+            .zip(msgs)
+            .zip(sigs)
+            .map(|((pk, m), s)| (pk, &m[..], s))
+            .collect()
+    }
+
+    /// The batch equation under caller-chosen weights.
+    fn combination_holds(items: &[(&PublicKey, &[u8], &Signature)], weights: &[Scalar]) -> bool {
+        let mut z = Scalar::ZERO;
+        let mut terms = Vec::new();
+        for (&(pk, msg, sig), &r) in items.iter().zip(weights) {
+            let c = challenge(pk, &sig.commitment, msg);
+            z = z + r * sig.response;
+            terms.push((sig.commitment, r));
+            terms.push((pk.0, r * c));
+        }
+        terms.push((GroupElement::generator(), -z));
+        GroupElement::multi_exp(&terms) == GroupElement::identity()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn verify_batch_matches_per_signature_oracle(
+            seed in proptest::arbitrary::any::<u64>(),
+            k in 1usize..8,
+            corruption in 0usize..6,
+            at in proptest::arbitrary::any::<u64>(),
+        ) {
+            let (pks, mut msgs, mut sigs) = signed(k, seed);
+            let i = at as usize % k;
+            let j = (i + 1) % k;
+            match corruption {
+                1 => sigs[i].response = sigs[i].response + Scalar::ONE,
+                2 => sigs[i].commitment = sigs[i].commitment.mul(&GroupElement::generator()),
+                3 => sigs.swap(i, j),
+                4 => msgs[i].push(b'!'),
+                _ => {}
+            }
+            let items = items(&pks, &msgs, &sigs);
+            let oracle = items.iter().all(|(pk, m, s)| pk.verify(m, s));
+            proptest::prop_assert_eq!(PublicKey::verify_batch(&items), oracle);
+            proptest::prop_assert_eq!(oracle, !matches!(corruption, 1..=4) || (corruption == 3 && k == 1));
+        }
+    }
+
+    #[test]
+    fn verify_batch_of_nothing_holds() {
+        assert!(PublicKey::verify_batch(&[]));
+    }
+
+    #[test]
+    fn verify_batch_counts_one_check() {
+        let (pks, msgs, sigs) = signed(5, 11);
+        let before = sintra_obs::global::sig_verify_count();
+        assert!(PublicKey::verify_batch(&items(&pks, &msgs, &sigs)));
+        assert_eq!(sintra_obs::global::sig_verify_count() - before, 1);
+    }
+
+    #[test]
+    fn errors_that_cancel_under_equal_weights_are_rejected() {
+        // Shift one response up and another down by the same amount:
+        // both signatures are invalid, but any equal weights on the pair
+        // cancel the two errors. Pair (0, 1) cancels if the weights after
+        // r_0 = 1 were 1; pair (1, 2) cancels for every constant weight.
+        let (pks, msgs, sigs) = signed(3, 12);
+        let delta = Scalar::from_u64(0xdead_beef);
+        for (a, b) in [(0, 1), (1, 2)] {
+            let mut bad = sigs.clone();
+            bad[a].response = bad[a].response + delta;
+            bad[b].response = bad[b].response - delta;
+            let items = items(&pks, &msgs, &bad);
+            assert!(!items[a].0.verify(items[a].1, items[a].2));
+            assert!(!items[b].0.verify(items[b].1, items[b].2));
+            for w in [Scalar::ONE, Scalar::from_u64(7)] {
+                let weights = [Scalar::ONE, w, w];
+                assert_eq!(
+                    combination_holds(&items, &weights),
+                    a != 0 || w == Scalar::ONE
+                );
+            }
+            assert!(!PublicKey::verify_batch(&items), "pair ({a}, {b})");
+        }
     }
 
     #[test]

@@ -360,7 +360,9 @@ impl ThresholdSigScheme {
         })
     }
 
-    /// Verifies a combined signature against a quorum rule.
+    /// Verifies a combined signature against a quorum rule: the rule on
+    /// the signer set, then every signature in one
+    /// [`PublicKey::verify_batch`] equation.
     pub fn verify(&self, message: &[u8], sig: &ThresholdSignature, rule: QuorumRule) -> bool {
         if !self.rule_satisfied(&sig.signers, rule) {
             return false;
@@ -369,12 +371,13 @@ impl ThresholdSigScheme {
             return false;
         }
         let tagged = domain_tagged(message);
-        sig.signers
+        let items: Option<Vec<_>> = sig
+            .signers
             .iter()
-            .zip(sig.signatures.iter())
-            .all(|(party, signature)| {
-                party < self.pubkeys.len() && self.pubkeys[party].verify(&tagged, signature)
-            })
+            .zip(&sig.signatures)
+            .map(|(party, signature)| Some((self.pubkeys.get(party)?, &tagged[..], signature)))
+            .collect();
+        items.is_some_and(|items| PublicKey::verify_batch(&items))
     }
 }
 
@@ -622,6 +625,104 @@ mod tests {
             .combine_preverified(&shares, QuorumRule::Core)
             .unwrap();
         assert!(!scheme.verify(b"m", &sig, QuorumRule::Core));
+    }
+
+    /// The per-signature check `verify` replaced, kept as the oracle.
+    fn verify_oracle(
+        scheme: &ThresholdSigScheme,
+        message: &[u8],
+        sig: &ThresholdSignature,
+        rule: QuorumRule,
+    ) -> bool {
+        let tagged = domain_tagged(message);
+        scheme.rule_satisfied(&sig.signers, rule)
+            && sig.signers.len() == sig.signatures.len()
+            && sig.signers.iter().zip(&sig.signatures).all(|(party, s)| {
+                party < scheme.pubkeys.len() && scheme.pubkeys[party].verify(&tagged, s)
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Valid certificates at (4,1), (10,3), (16,5) and §4.3 Example 1,
+        /// and each single corruption of one.
+        #[test]
+        fn verify_matches_per_signature_oracle(
+            seed in proptest::arbitrary::any::<u64>(),
+            which in 0usize..4,
+            rule in 0usize..3,
+            corruption in 0usize..8,
+        ) {
+            let structure = match which {
+                0 => TrustStructure::threshold(4, 1).unwrap(),
+                1 => TrustStructure::threshold(10, 3).unwrap(),
+                2 => TrustStructure::threshold(16, 5).unwrap(),
+                _ => example1().unwrap(),
+            };
+            let rule = [QuorumRule::Qualified, QuorumRule::Core, QuorumRule::Strong][rule];
+            let mut rng = SeededRng::new(seed);
+            let (scheme, keys) = deal_tsig(&structure, &mut rng);
+            // Every party, then random removals while the rule holds.
+            let mut signers: PartySet = (0..structure.n()).collect();
+            for _ in 0..structure.n() {
+                let mut fewer = signers;
+                fewer.remove(rng.next_u64() as usize % structure.n());
+                if scheme.rule_satisfied(&fewer, rule) {
+                    signers = fewer;
+                }
+            }
+            let shares: Vec<SignatureShare> = signers
+                .iter()
+                .map(|p| keys[p].sign_share(b"m", &mut rng))
+                .collect();
+            let mut sig = scheme.combine_preverified(&shares, rule).unwrap();
+            let k = sig.signatures.len();
+            let i = rng.next_u64() as usize % k;
+            let mut message: &[u8] = b"m";
+            match corruption {
+                1 => sig.signatures[i].response = sig.signatures[i].response + Scalar::ONE,
+                2 => {
+                    let r = &mut sig.signatures[i].commitment;
+                    *r = r.mul(&GroupElement::generator());
+                }
+                3 => sig.signatures.swap(i, (i + 1) % k),
+                4 => message = b"other",
+                5 => {
+                    // Drop signers (with their signatures) until the rule fails.
+                    while scheme.rule_satisfied(&sig.signers, rule) {
+                        let p = sig.signers.iter().next().unwrap();
+                        sig.signers.remove(p);
+                        sig.signatures.remove(0);
+                    }
+                }
+                6 => {
+                    sig.signatures.pop();
+                }
+                7 => sig.signatures.push(sig.signatures[0]),
+                _ => {}
+            }
+            let oracle = verify_oracle(&scheme, message, &sig, rule);
+            proptest::prop_assert_eq!(scheme.verify(message, &sig, rule), oracle);
+            proptest::prop_assert_eq!(oracle, corruption == 0 || (corruption == 3 && k == 1));
+        }
+    }
+
+    #[test]
+    fn single_signer_certificate_matches_oracle() {
+        // k = 1: the one structure here whose quorums can be a single
+        // party is "any one of four" — n = 4 with t = 0.
+        let (scheme, keys, mut rng) = setup(4, 0, 25);
+        let share = keys[2].sign_share(b"m", &mut rng);
+        let mut sig = scheme
+            .combine_preverified(&[share], QuorumRule::Qualified)
+            .unwrap();
+        assert_eq!(sig.signatures.len(), 1);
+        assert!(scheme.verify(b"m", &sig, QuorumRule::Qualified));
+        assert!(verify_oracle(&scheme, b"m", &sig, QuorumRule::Qualified));
+        sig.signatures[0].response = sig.signatures[0].response + Scalar::ONE;
+        assert!(!scheme.verify(b"m", &sig, QuorumRule::Qualified));
+        assert!(!verify_oracle(&scheme, b"m", &sig, QuorumRule::Qualified));
     }
 
     #[test]

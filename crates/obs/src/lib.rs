@@ -382,6 +382,22 @@ pub mod global {
 
     thread_local! {
         static SHARE_FALLBACK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        static SIG_VERIFY: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Counts one aggregate signature check — a certificate, a voucher,
+    /// a proposal's entry signatures — however many signatures it
+    /// covers (`PublicKey::verify_batch`). Thread-local and always on,
+    /// like [`crypto_share_fallback`], so a test's count is exact under
+    /// parallel test threads.
+    #[inline]
+    pub fn crypto_sig_verify() {
+        SIG_VERIFY.with(|c| c.set(c.get() + 1));
+    }
+
+    /// This thread's running aggregate signature check count.
+    pub fn sig_verify_count() -> u64 {
+        SIG_VERIFY.with(|c| c.get())
     }
 
     /// Counts `shares` per-share fallback re-verifications taken after

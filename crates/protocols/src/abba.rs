@@ -595,6 +595,11 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
             return None; // out-of-range sender
         }
         match msg {
+            // A vote from a sender already counted (or banned) for its
+            // round would be dropped on record; drop it before its
+            // justification costs a verification.
+            AbbaMessage::PreVote(pv) if self.prevote_counted(from, pv.round) => None,
+            AbbaMessage::MainVote(mv) if self.mainvote_counted(from, mv.round) => None,
             AbbaMessage::PreVote(pv) => match self.validate_prevote_lazy(from, &pv) {
                 Ok(true) => {
                     self.record_prevote(from, pv);
@@ -706,13 +711,29 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
         self.progress(rng, out)
     }
 
+    /// Whether `from` has a pre-vote counted in `round` or is banned —
+    /// the first pre-vote per party counts, culprits are out.
+    fn prevote_counted(&self, from: PartyId, round: u64) -> bool {
+        self.instance_banned.contains(from)
+            || self.rounds.get(&round).is_some_and(|rs| {
+                rs.prevote_parties.contains(from)
+                    || rs.prevotes.iter().any(|t| t.banned().contains(from))
+            })
+    }
+
+    /// [`prevote_counted`](Self::prevote_counted) for main-votes.
+    fn mainvote_counted(&self, from: PartyId, round: u64) -> bool {
+        self.instance_banned.contains(from)
+            || self.rounds.get(&round).is_some_and(|rs| {
+                rs.mainvote_parties.contains(from)
+                    || rs.mainvotes.iter().any(|t| t.banned().contains(from))
+            })
+    }
+
+    /// Counts a validated pre-vote; `on_message` has already dropped one
+    /// whose sender [`prevote_counted`](Self::prevote_counted).
     fn record_prevote(&mut self, from: PartyId, pv: PreVote<E>) {
         let rs = self.round_state(pv.round);
-        if rs.prevote_parties.contains(from)
-            || rs.prevotes.iter().any(|t| t.banned().contains(from))
-        {
-            return; // first pre-vote per party counts; culprits are out
-        }
         let idx = pv.value as usize;
         if rs.prevotes[idx].insert(from, pv) {
             rs.prevote_parties.insert(from);
@@ -720,13 +741,10 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
         }
     }
 
+    /// Counts a validated main-vote (see
+    /// [`record_prevote`](Self::record_prevote)).
     fn record_mainvote(&mut self, from: PartyId, mv: MainVote<E>) {
         let rs = self.round_state(mv.round);
-        if rs.mainvote_parties.contains(from)
-            || rs.mainvotes.iter().any(|t| t.banned().contains(from))
-        {
-            return;
-        }
         let idx = mv.vote.code() as usize;
         if !rs.mainvotes[idx].insert(from, mv.share) {
             return;
@@ -1433,6 +1451,58 @@ mod tests {
             values.windows(2).all(|w| w[0] == w[1]),
             "agreement: {values:?}"
         );
+    }
+
+    /// Runs four nodes on all-1 inputs under a FIFO queue, delivering the
+    /// first main-vote node 0 receives from a peer `copies` times;
+    /// returns the decisions and the aggregate checks those deliveries
+    /// cost.
+    fn fifo_run_duplicating_a_main_vote(copies: usize) -> (Vec<Option<bool>>, u64) {
+        let mut nodes = nodes(4, 1, 61);
+        let mut queue: std::collections::VecDeque<(PartyId, PartyId, Msg)> =
+            std::collections::VecDeque::new();
+        let mut decisions = vec![None; 4];
+        let mut step = |nodes: &mut Vec<AbbaNode>,
+                        queue: &mut std::collections::VecDeque<(PartyId, PartyId, Msg)>,
+                        p: PartyId,
+                        m: Option<(PartyId, Msg)>| {
+            let node = &mut nodes[p];
+            let mut out = Outbox::new(4);
+            let d = match m {
+                None => node.abba.propose(true, &mut node.rng, &mut out),
+                Some((from, m)) => node.abba.on_message(from, m, &mut node.rng, &mut out),
+            };
+            if d.is_some() {
+                decisions[p] = d;
+            }
+            queue.extend(out.into_iter().map(|(to, m)| (to, p, m)));
+        };
+        for p in 0..4 {
+            step(&mut nodes, &mut queue, p, None);
+        }
+        let mut cost = None;
+        while let Some((to, from, m)) = queue.pop_front() {
+            if cost.is_none() && to == 0 && from != 0 && matches!(m, AbbaMessage::MainVote(_)) {
+                let before = sintra_obs::global::sig_verify_count();
+                for _ in 0..copies {
+                    step(&mut nodes, &mut queue, to, Some((from, m.clone())));
+                }
+                cost = Some(sintra_obs::global::sig_verify_count() - before);
+                continue;
+            }
+            step(&mut nodes, &mut queue, to, Some((from, m)));
+        }
+        (decisions, cost.expect("node 0 received a peer's main-vote"))
+    }
+
+    #[test]
+    fn duplicated_main_vote_costs_one_justification_check() {
+        let (once, one_check) = fifo_run_duplicating_a_main_vote(1);
+        let (fifty, fifty_checks) = fifo_run_duplicating_a_main_vote(50);
+        assert_eq!(one_check, 1, "a main-vote's justification is one check");
+        assert_eq!(fifty_checks, 1, "49 copies are dropped before validation");
+        assert_eq!(once, vec![Some(true); 4]);
+        assert_eq!(fifty, once, "same decisions");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::pool::VerifyPool;
 use sintra_adversary::party::{PartyId, PartySet};
 use sintra_crypto::dealer::{PublicParameters, ServerKeyBundle};
 use sintra_crypto::rng::SeededRng;
-use sintra_crypto::schnorr::Signature;
+use sintra_crypto::schnorr::{PublicKey, Signature};
 use sintra_net::codec::MAX_PAYLOAD;
 use sintra_net::protocol::{Context, Effects, Protocol};
 use sintra_obs::{Event, EventKind, Layer};
@@ -1012,7 +1012,8 @@ impl AtomicBroadcast {
 
 /// The external validity predicate for round `r`: the value must decode
 /// to a list of distinct-party entries whose holders form a core set,
-/// each correctly signed for this round.
+/// each correctly signed for this round (all signatures in one batch
+/// equation, checked last).
 fn round_validity(tag: &Tag, round: u64, public: Arc<PublicParameters>) -> ValidityPredicate {
     let tag = tag.clone();
     Arc::new(move |value: &[u8]| {
@@ -1021,7 +1022,8 @@ fn round_validity(tag: &Tag, round: u64, public: Arc<PublicParameters>) -> Valid
             None => return false,
         };
         let mut holders = PartySet::new();
-        for (party, payload, sig) in &entries {
+        let mut msgs = Vec::with_capacity(entries.len());
+        for (party, payload, _) in &entries {
             if *party >= public.n() || !holders.insert(*party) {
                 return false; // out of range or duplicate
             }
@@ -1030,12 +1032,17 @@ fn round_validity(tag: &Tag, round: u64, public: Arc<PublicParameters>) -> Valid
             if decode_batch(payload).is_none() {
                 return false;
             }
-            let msg = tag.message(&[b"queued", &round.to_be_bytes(), payload]);
-            if !public.auth_key(*party).verify(&msg, sig) {
-                return false;
-            }
+            msgs.push(tag.message(&[b"queued", &round.to_be_bytes(), payload]));
         }
-        public.structure().is_core(&holders)
+        if !public.structure().is_core(&holders) {
+            return false;
+        }
+        let items: Vec<_> = entries
+            .iter()
+            .zip(&msgs)
+            .map(|((party, _, sig), msg)| (public.auth_key(*party), &msg[..], sig))
+            .collect();
+        PublicKey::verify_batch(&items)
     })
 }
 

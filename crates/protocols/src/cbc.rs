@@ -18,7 +18,7 @@
 use crate::common::{digest, BatchedShares, Digest, Outbox, Tag, WireKind};
 use crate::pool::{Verdict, VerdictChannel, VerifyPool};
 use serde::{Deserialize, Serialize};
-use sintra_adversary::party::PartyId;
+use sintra_adversary::party::{PartyId, PartySet};
 use sintra_crypto::dealer::{PublicParameters, ServerKeyBundle};
 use sintra_crypto::rng::SeededRng;
 use sintra_crypto::tsig::{QuorumRule, SignatureShare, ThresholdSignature};
@@ -75,6 +75,11 @@ pub struct ConsistentBroadcast {
     final_sent: bool,
     echoed: bool,
     delivered: bool,
+    /// Parties whose `Final` failed verification. An honest party only
+    /// sends a `Final` it combined or already validated, and the check is
+    /// deterministic, so one failure convicts the sender: its later
+    /// `Final`s for this instance are dropped unchecked.
+    final_banned: PartySet,
     /// Optional off-thread verification pool for the sender-side echo
     /// batch (`None` = verify inline at quorum time).
     pool: Option<Arc<VerifyPool>>,
@@ -109,6 +114,7 @@ impl ConsistentBroadcast {
             final_sent: false,
             echoed: false,
             delivered: false,
+            final_banned: PartySet::new(),
             pool: None,
             verdicts: VerdictChannel::new(),
             awaiting: false,
@@ -218,12 +224,17 @@ impl ConsistentBroadcast {
                 }
                 None
             }
-            CbcMessage::Final(payload, sig) => self.deliver_final(payload, sig),
+            CbcMessage::Final(payload, sig) => self.deliver_final(from, payload, sig),
         }
     }
 
-    fn deliver_final(&mut self, payload: Vec<u8>, sig: ThresholdSignature) -> Option<Voucher> {
-        if self.delivered {
+    fn deliver_final(
+        &mut self,
+        from: PartyId,
+        payload: Vec<u8>,
+        sig: ThresholdSignature,
+    ) -> Option<Voucher> {
+        if self.delivered || self.final_banned.contains(from) {
             return None;
         }
         let voucher = Voucher {
@@ -231,6 +242,7 @@ impl ConsistentBroadcast {
             signature: sig,
         };
         if !Self::verify_voucher(&self.public, &self.tag, &voucher) {
+            self.final_banned.insert(from);
             return None;
         }
         self.delivered = true;
@@ -492,9 +504,10 @@ mod tests {
             .signing()
             .combine(&msg, &shares, QuorumRule::Core)
             .unwrap();
+        // A corrupted relay (party 3) claims it for "evil".
         let mut out = Outbox::new(node.n());
         let delivered = node.on_message(
-            0,
+            3,
             CbcMessage::Final(b"evil".to_vec(), sig.clone()),
             &mut rng,
             &mut out,
@@ -508,6 +521,44 @@ mod tests {
             &mut out,
         );
         assert!(delivered.is_some());
+    }
+
+    #[test]
+    fn final_spam_costs_one_verification() {
+        let ts = TrustStructure::threshold(4, 1).unwrap();
+        let mut rng = SeededRng::new(9);
+        let (public, bundles) = Dealer::deal(&ts, &mut rng);
+        let public = Arc::new(public);
+        let tag = Tag::root("spam");
+        let mut node = ConsistentBroadcast::new(
+            tag.clone(),
+            0,
+            Arc::clone(&public),
+            Arc::new(bundles[1].clone()),
+        );
+        let msg = tag.message(&[b"cbc", &digest(b"m")]);
+        let shares: Vec<SignatureShare> = bundles[..3]
+            .iter()
+            .map(|b| b.signing_key().sign_share(&msg, &mut rng))
+            .collect();
+        let sig = public
+            .signing()
+            .combine(&msg, &shares, QuorumRule::Core)
+            .unwrap();
+        // Party 3 floods forged Finals: the first failure bans it for the
+        // instance, so the other 99 cost no verification.
+        let before = sintra_obs::global::sig_verify_count();
+        let mut out = Outbox::new(node.n());
+        for _ in 0..100 {
+            let forged = CbcMessage::Final(b"forged".to_vec(), sig.clone());
+            assert!(node.on_message(3, forged, &mut rng, &mut out).is_none());
+        }
+        assert_eq!(sintra_obs::global::sig_verify_count() - before, 1);
+        // The ban is per sender: an honest Final from another party (the
+        // designated sender) still delivers.
+        let honest = CbcMessage::Final(b"m".to_vec(), sig);
+        assert!(node.on_message(0, honest, &mut rng, &mut out).is_some());
+        assert_eq!(sintra_obs::global::sig_verify_count() - before, 2);
     }
 
     #[test]

@@ -503,29 +503,12 @@ impl Mvba {
         let candidate = (value.u64() % self.n as u64) as PartyId;
         self.candidates.insert(election, candidate);
         // Build the biased ABBA whose evidence is the candidate's
-        // voucher; validated vouchers are stored for retrieval.
-        let vouchers = Arc::clone(&self.vouchers);
-        let public = Arc::clone(&self.public);
-        let prop_tag = self.tag.child("prop", candidate as u64);
-        let predicate = Arc::clone(&self.predicate);
-        let check: EvidenceCheck<Voucher> = Arc::new(move |v: &Voucher| {
-            if !ConsistentBroadcast::verify_voucher(&public, &prop_tag, v) {
-                return false;
-            }
-            if !(predicate)(&v.payload) {
-                return false;
-            }
-            vouchers
-                .lock()
-                .entry(candidate)
-                .or_insert_with(|| v.clone());
-            true
-        });
+        // voucher.
         let mut abba = Abba::new_biased(
             self.tag.child("abba", election),
             Arc::clone(&self.public),
             Arc::clone(&self.bundle),
-            check,
+            self.evidence_check(candidate),
         );
         if let Some(pool) = &self.pool {
             abba.set_verify_pool(Arc::clone(pool));
@@ -557,6 +540,33 @@ impl Mvba {
             return self.on_abba_decision(election, bit, rng, out);
         }
         None
+    }
+
+    /// The evidence validator of an election on `candidate`: a voucher
+    /// for its proposal that verifies and passes the predicate. The first
+    /// one accepted is stored for retrieval; a voucher equal to the one
+    /// stored costs no crypto. Any other still pays for the full check,
+    /// since a Byzantine proposer can mint several valid vouchers.
+    fn evidence_check(&self, candidate: PartyId) -> EvidenceCheck<Voucher> {
+        let vouchers = Arc::clone(&self.vouchers);
+        let public = Arc::clone(&self.public);
+        let prop_tag = self.tag.child("prop", candidate as u64);
+        let predicate = Arc::clone(&self.predicate);
+        Arc::new(move |v: &Voucher| {
+            if vouchers.lock().get(&candidate) == Some(v) {
+                return true;
+            }
+            if !ConsistentBroadcast::verify_voucher(&public, &prop_tag, v)
+                || !(predicate)(&v.payload)
+            {
+                return false;
+            }
+            vouchers
+                .lock()
+                .entry(candidate)
+                .or_insert_with(|| v.clone());
+            true
+        })
     }
 
     /// Ships `election`'s pending coin shares to the verification pool.
@@ -744,11 +754,13 @@ fn wrap<Sub, M>(out: &mut Outbox<M>, sub: Outbox<Sub>, f: impl Fn(Sub) -> M) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abba::PreVoteJust;
     use crate::common::contexts;
     use sintra_adversary::structure::TrustStructure;
     use sintra_crypto::dealer::Dealer;
+    use sintra_crypto::tsig::{QuorumRule, ThresholdSignature};
     use sintra_net::protocol::{Effects, Protocol};
-    use sintra_net::sim::{Behavior, LifoScheduler, RandomScheduler, Simulation};
+    use sintra_net::sim::{Behavior, FifoScheduler, LifoScheduler, RandomScheduler, Simulation};
 
     #[derive(Debug)]
     pub struct MvbaNode {
@@ -1002,6 +1014,140 @@ mod tests {
             &mut out,
         );
         assert_eq!(node.buffered_elect_shares(), 1);
+    }
+
+    #[test]
+    fn evidence_check_memoizes_only_the_stored_voucher() {
+        let ts = TrustStructure::threshold(4, 1).unwrap();
+        let mut rng = SeededRng::new(91);
+        let (public, bundles) = Dealer::deal(&ts, &mut rng);
+        let public = Arc::new(public);
+        let tag = Tag::root("mvba-memo");
+        let mvba = Mvba::new(
+            tag.clone(),
+            Arc::clone(&public),
+            Arc::new(bundles[0].clone()),
+            Arc::new(|_| true),
+        );
+        let candidate = 2;
+        let signed = tag
+            .child("prop", candidate as u64)
+            .message(&[b"cbc", &crate::common::digest(b"p")]);
+        let voucher = |signers: &[usize], rng: &mut SeededRng| {
+            let shares: Vec<_> = signers
+                .iter()
+                .map(|&p| bundles[p].signing_key().sign_share(&signed, rng))
+                .collect();
+            Voucher {
+                payload: b"p".to_vec(),
+                signature: public
+                    .signing()
+                    .combine(&signed, &shares, QuorumRule::Core)
+                    .unwrap(),
+            }
+        };
+        let first = voucher(&[0, 1, 2], &mut rng);
+        let second = voucher(&[1, 2, 3], &mut rng);
+        // The stored payload with one signature's response flipped.
+        let mut bytes = first.signature.to_bytes();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        let broken = Voucher {
+            payload: first.payload.clone(),
+            signature: ThresholdSignature::from_bytes(&bytes).unwrap(),
+        };
+        let check = mvba.evidence_check(candidate);
+        let checks = |v: &Voucher| {
+            let before = sintra_obs::global::sig_verify_count();
+            let ok = check(v);
+            (ok, sintra_obs::global::sig_verify_count() - before)
+        };
+        assert_eq!(checks(&first), (true, 1), "first sighting is verified");
+        assert_eq!(checks(&first.clone()), (true, 0), "equal voucher is free");
+        assert_eq!(checks(&second), (true, 1), "another signer set pays");
+        assert_eq!(checks(&broken), (false, 1), "a broken signature is caught");
+        assert_eq!(mvba.vouchers.lock().get(&candidate), Some(&first));
+    }
+
+    /// An [`MvbaNode`] that bills the aggregate checks spent on first-round
+    /// pre-votes — on arrival, or when the election's coin releases them
+    /// from the buffer — to their election, beside the distinct vouchers
+    /// they carried.
+    #[derive(Debug)]
+    struct BillingNode {
+        node: MvbaNode,
+        checks: BTreeMap<u64, u64>,
+        vouchers: BTreeMap<u64, BTreeSet<Vec<u8>>>,
+    }
+
+    impl Protocol for BillingNode {
+        type Message = MvbaMessage;
+        type Input = Vec<u8>;
+        type Output = Vec<u8>;
+
+        fn on_input(&mut self, input: Vec<u8>, fx: &mut Effects<MvbaMessage, Vec<u8>>) {
+            self.node.on_input(input, fx);
+        }
+
+        fn on_message(
+            &mut self,
+            from: PartyId,
+            msg: MvbaMessage,
+            fx: &mut Effects<MvbaMessage, Vec<u8>>,
+        ) {
+            let billed = match &msg {
+                MvbaMessage::Vote {
+                    election,
+                    inner: AbbaMessage::PreVote(pv),
+                } => {
+                    if let PreVoteJust::FirstRound(Some(v)) = &pv.just {
+                        let mut bytes = v.payload.clone();
+                        bytes.extend(v.signature.to_bytes());
+                        self.vouchers.entry(*election).or_default().insert(bytes);
+                    }
+                    Some(*election)
+                }
+                MvbaMessage::ElectCoin { election, .. } => Some(*election),
+                _ => None,
+            };
+            let before = sintra_obs::global::sig_verify_count();
+            self.node.on_message(from, msg, fx);
+            if let Some(election) = billed {
+                *self.checks.entry(election).or_default() +=
+                    sintra_obs::global::sig_verify_count() - before;
+            }
+        }
+    }
+
+    #[test]
+    fn voucher_checks_are_bounded_by_distinct_vouchers() {
+        let nodes: Vec<BillingNode> = nodes(10, 3, 93)
+            .into_iter()
+            .map(|node| BillingNode {
+                node,
+                checks: BTreeMap::new(),
+                vouchers: BTreeMap::new(),
+            })
+            .collect();
+        let mut sim = Simulation::builder(nodes, FifoScheduler).seed(94).build();
+        for p in 0..10 {
+            sim.input(p, format!("proposal-{p}").into_bytes());
+        }
+        sim.run_until_quiet(20_000_000);
+        let mut evidence_votes = 0;
+        for p in 0..10 {
+            let node = sim.node(p).unwrap();
+            assert_eq!(sim.outputs(p).len(), 1, "party {p} decides");
+            for (election, &checks) in &node.checks {
+                let distinct = node.vouchers.get(election).map_or(0, BTreeSet::len);
+                assert!(
+                    checks <= distinct as u64,
+                    "party {p}, election {election}: {checks} checks for {distinct} vouchers"
+                );
+            }
+            evidence_votes += node.vouchers.values().map(BTreeSet::len).sum::<usize>();
+        }
+        assert!(evidence_votes > 0, "the run exercised voucher evidence");
     }
 
     #[test]

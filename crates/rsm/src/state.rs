@@ -147,16 +147,43 @@ const NODE_PREFIX: u8 = 1;
 struct Bucket {
     /// Sorted by key. A vector, not a map: a bucket holds a handful of
     /// entries and is copied whole on the first write after a clone.
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
+    entries: Vec<Entry>,
     /// Snapshot-format length of `entries`.
     bytes: usize,
     /// Digest of `entries`; stale while the bucket's dirty bit is set.
     digest: Digest,
 }
 
-/// Snapshot-format length of one entry.
-fn entry_len(key: &[u8], value: &[u8]) -> usize {
-    8 + key.len() + value.len()
+/// One key-value pair in a single allocation, `klen ‖ key ‖ value` with
+/// a `u32` big-endian `klen`: every request writes a key, so resident
+/// memory per key is what this costs.
+#[derive(Clone, Debug)]
+struct Entry(Box<[u8]>);
+
+impl Entry {
+    /// `key` is at most `u32::MAX` bytes: requests and snapshots both
+    /// frame it with a `u32` length.
+    fn new(key: &[u8], value: &[u8]) -> Self {
+        let klen = (key.len() as u32).to_be_bytes();
+        Entry([&klen[..], key, value].concat().into_boxed_slice())
+    }
+
+    fn klen(&self) -> usize {
+        u32::from_be_bytes(self.0[..4].try_into().expect("4-byte prefix")) as usize
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.0[4..4 + self.klen()]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.0[4 + self.klen()..]
+    }
+
+    /// Snapshot-format length: both fields with their `u32` prefixes.
+    fn encoded_len(&self) -> usize {
+        4 + self.0.len()
+    }
 }
 
 fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
@@ -180,12 +207,12 @@ fn put_entry(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
 
 /// Digest of a bucket's entries; `scratch` is left holding the bytes
 /// hashed.
-fn leaf_digest(entries: &[(Vec<u8>, Vec<u8>)], scratch: &mut Vec<u8>) -> Digest {
+fn leaf_digest(entries: &[Entry], scratch: &mut Vec<u8>) -> Digest {
     scratch.clear();
     scratch.push(LEAF_PREFIX);
     scratch.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-    for (k, v) in entries {
-        put_entry(scratch, k, v);
+    for e in entries {
+        put_entry(scratch, e.key(), e.value());
     }
     digest(scratch)
 }
@@ -286,22 +313,21 @@ impl KvMachine {
         self.len == 0
     }
 
-    fn get(&self, key: &[u8]) -> Option<&Vec<u8>> {
+    fn get(&self, key: &[u8]) -> Option<&[u8]> {
         let entries = &self.buckets[bucket_of(key)].entries;
-        let i = entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()?;
-        Some(&entries[i].1)
+        let i = entries.binary_search_by(|e| e.key().cmp(key)).ok()?;
+        Some(entries[i].value())
     }
 
-    fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        let b = bucket_of(&key);
+    fn insert(&mut self, key: &[u8], value: &[u8]) {
+        let b = bucket_of(key);
         let bucket = Arc::make_mut(&mut self.buckets[b]);
-        let added = entry_len(&key, &value);
-        let removed = match bucket.entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => entry_len(&key, &std::mem::replace(&mut bucket.entries[i].1, value)),
+        let entry = Entry::new(key, value);
+        let added = entry.encoded_len();
+        let removed = match bucket.entries.binary_search_by(|e| e.key().cmp(key)) {
+            Ok(i) => std::mem::replace(&mut bucket.entries[i], entry).encoded_len(),
             Err(i) => {
-                bucket.entries.insert(i, (key, value));
+                bucket.entries.insert(i, entry);
                 self.len += 1;
                 0
             }
@@ -361,9 +387,7 @@ impl StateMachine for KvMachine {
                 if rest.len() < 4 + klen {
                     return b"ERR malformed".to_vec();
                 }
-                let key = rest[4..4 + klen].to_vec();
-                let value = rest[4 + klen..].to_vec();
-                self.insert(key, value);
+                self.insert(&rest[4..4 + klen], &rest[4 + klen..]);
                 b"OK".to_vec()
             }
             Some((b'G', key)) => match self.get(key) {
@@ -381,15 +405,15 @@ impl StateMachine for KvMachine {
     fn snapshot(&self) -> Vec<u8> {
         // Entries in key order whatever bucket they sit in, so the
         // encoding is canonical (and is what it was before buckets).
-        let mut entries: Vec<(&Vec<u8>, &Vec<u8>)> = Vec::with_capacity(self.len);
+        let mut entries: Vec<&Entry> = Vec::with_capacity(self.len);
         for bucket in &self.buckets {
-            entries.extend(bucket.entries.iter().map(|(k, v)| (k, v)));
+            entries.extend(&bucket.entries);
         }
-        entries.sort_unstable_by_key(|&(k, _)| k);
+        entries.sort_unstable_by_key(|e| e.key());
         let mut out = Vec::with_capacity(4 + self.bytes);
         out.extend_from_slice(&(self.len as u32).to_be_bytes());
-        for (k, v) in entries {
-            put_entry(&mut out, k, v);
+        for e in entries {
+            put_entry(&mut out, e.key(), e.value());
         }
         out
     }
@@ -412,7 +436,7 @@ impl StateMachine for KvMachine {
                 return false;
             }
             prev = Some(k);
-            restored.insert(k.to_vec(), v.to_vec());
+            restored.insert(k, v);
         }
         if !rest.is_empty() {
             return false;
