@@ -119,7 +119,11 @@ fn bench_tsig(c: &mut Criterion) {
             .combine(b"msg", &shares, QuorumRule::Qualified)
             .unwrap();
         group.bench_with_input(BenchmarkId::new("verify", &name), &(), |b, _| {
-            b.iter(|| public.signing().verify(b"msg", &sig, QuorumRule::Qualified))
+            b.iter(|| {
+                public
+                    .signing()
+                    .verify(b"msg", &sig, QuorumRule::Qualified, |_| false)
+            })
         });
     }
     group.finish();

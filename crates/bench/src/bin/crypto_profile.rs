@@ -142,7 +142,7 @@ fn profile_quorum(n: usize, t: usize) -> QuorumRow {
                 .expect("honest signature shares verify")
         });
         ns_min(&mut sig_aggregate, || {
-            assert!(signing.verify(message, &certificate, QuorumRule::Qualified));
+            assert!(signing.verify(message, &certificate, QuorumRule::Qualified, |_| false));
         });
     }
     let coin_per_share_ns = min_of(&coin_per_share);

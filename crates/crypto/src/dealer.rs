@@ -231,7 +231,9 @@ mod tests {
             .signing()
             .combine(b"m", &sig_shares, QuorumRule::Qualified)
             .unwrap();
-        assert!(public.signing().verify(b"m", &sig, QuorumRule::Qualified));
+        assert!(public
+            .signing()
+            .verify(b"m", &sig, QuorumRule::Qualified, |_| false));
 
         // Authentication keys match.
         for b in &bundles {

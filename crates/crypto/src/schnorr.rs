@@ -100,9 +100,13 @@ impl PublicKey {
     /// needs every element in the prime-order subgroup, which decoding
     /// guarantees. No rng is consumed, so callers stay deterministic.
     ///
-    /// `true` on an empty batch. A `false` names no culprit.
+    /// `true` on an empty batch, which costs nothing and is not
+    /// counted. A `false` names no culprit.
     pub fn verify_batch(items: &[(&PublicKey, &[u8], &Signature)]) -> bool {
-        sintra_obs::global::crypto_sig_verify();
+        if items.is_empty() {
+            return true;
+        }
+        sintra_obs::global::crypto_sig_verify(items.len() as u64);
         // Consecutive items over one message (a certificate's signers)
         // share its hash midstate.
         let mut prefix_msg: &[u8] = &[];
@@ -377,15 +381,21 @@ mod tests {
 
     #[test]
     fn verify_batch_of_nothing_holds() {
+        let checks = sintra_obs::global::sig_verify_count();
+        let sigs = sintra_obs::global::sigs_verified_count();
         assert!(PublicKey::verify_batch(&[]));
+        assert_eq!(sintra_obs::global::sig_verify_count(), checks);
+        assert_eq!(sintra_obs::global::sigs_verified_count(), sigs);
     }
 
     #[test]
     fn verify_batch_counts_one_check() {
         let (pks, msgs, sigs) = signed(5, 11);
         let before = sintra_obs::global::sig_verify_count();
+        let sigs_before = sintra_obs::global::sigs_verified_count();
         assert!(PublicKey::verify_batch(&items(&pks, &msgs, &sigs)));
         assert_eq!(sintra_obs::global::sig_verify_count() - before, 1);
+        assert_eq!(sintra_obs::global::sigs_verified_count() - sigs_before, 5);
     }
 
     #[test]

@@ -361,9 +361,21 @@ impl ThresholdSigScheme {
     }
 
     /// Verifies a combined signature against a quorum rule: the rule on
-    /// the signer set, then every signature in one
-    /// [`PublicKey::verify_batch`] equation.
-    pub fn verify(&self, message: &[u8], sig: &ThresholdSignature, rule: QuorumRule) -> bool {
+    /// the signer set and the length checks, then, in one
+    /// [`PublicKey::verify_batch`] equation, every signature that is not
+    /// `known` — with none left, no exponentiation at all.
+    ///
+    /// `known` names shares this verifier has itself already checked
+    /// over the same `message`. It changes only the cost, never the
+    /// verdict, as long as it holds nothing else. Pass `|_| false` to
+    /// check every signature.
+    pub fn verify(
+        &self,
+        message: &[u8],
+        sig: &ThresholdSignature,
+        rule: QuorumRule,
+        known: impl Fn(&SignatureShare) -> bool,
+    ) -> bool {
         if !self.rule_satisfied(&sig.signers, rule) {
             return false;
         }
@@ -371,13 +383,20 @@ impl ThresholdSigScheme {
             return false;
         }
         let tagged = domain_tagged(message);
-        let items: Option<Vec<_>> = sig
-            .signers
-            .iter()
-            .zip(&sig.signatures)
-            .map(|(party, signature)| Some((self.pubkeys.get(party)?, &tagged[..], signature)))
-            .collect();
-        items.is_some_and(|items| PublicKey::verify_batch(&items))
+        let mut items = Vec::with_capacity(sig.signatures.len());
+        for (party, signature) in sig.signers.iter().zip(&sig.signatures) {
+            let Some(pk) = self.pubkeys.get(party) else {
+                return false;
+            };
+            let share = SignatureShare {
+                party,
+                signature: *signature,
+            };
+            if !known(&share) {
+                items.push((pk, &tagged[..], signature));
+            }
+        }
+        PublicKey::verify_batch(&items)
     }
 }
 
@@ -431,8 +450,8 @@ mod tests {
         let sig = scheme
             .combine(b"m", &shares, QuorumRule::Qualified)
             .unwrap();
-        assert!(scheme.verify(b"m", &sig, QuorumRule::Qualified));
-        assert!(!scheme.verify(b"other", &sig, QuorumRule::Qualified));
+        assert!(scheme.verify(b"m", &sig, QuorumRule::Qualified, |_| false));
+        assert!(!scheme.verify(b"other", &sig, QuorumRule::Qualified, |_| false));
         assert_eq!(sig.signers().len(), 2);
     }
 
@@ -445,15 +464,15 @@ mod tests {
             .map(|k| k.sign_share(b"m", &mut rng))
             .collect();
         let sig = scheme.combine(b"m", &shares, QuorumRule::Core).unwrap();
-        assert!(scheme.verify(b"m", &sig, QuorumRule::Core));
-        assert!(scheme.verify(b"m", &sig, QuorumRule::Strong));
-        assert!(scheme.verify(b"m", &sig, QuorumRule::Qualified));
+        assert!(scheme.verify(b"m", &sig, QuorumRule::Core, |_| false));
+        assert!(scheme.verify(b"m", &sig, QuorumRule::Strong, |_| false));
+        assert!(scheme.verify(b"m", &sig, QuorumRule::Qualified, |_| false));
         // Two signers fail core and strong rules.
         let sig2 = scheme
             .combine(b"m", &shares[..2], QuorumRule::Qualified)
             .unwrap();
-        assert!(!scheme.verify(b"m", &sig2, QuorumRule::Core));
-        assert!(!scheme.verify(b"m", &sig2, QuorumRule::Strong));
+        assert!(!scheme.verify(b"m", &sig2, QuorumRule::Core, |_| false));
+        assert!(!scheme.verify(b"m", &sig2, QuorumRule::Strong, |_| false));
         assert_eq!(
             scheme.combine(b"m", &shares[..2], QuorumRule::Core),
             Err(CombineError::InsufficientQuorum)
@@ -515,7 +534,7 @@ mod tests {
             signers,
             signatures: sig.signatures.clone(),
         };
-        assert!(!scheme.verify(b"m", &forged, QuorumRule::Qualified));
+        assert!(!scheme.verify(b"m", &forged, QuorumRule::Qualified, |_| false));
     }
 
     #[test]
@@ -535,7 +554,7 @@ mod tests {
             .map(|p| keys[*p].sign_share(b"m", &mut rng))
             .collect();
         let sig = scheme.combine(b"m", &mixed, QuorumRule::Qualified).unwrap();
-        assert!(scheme.verify(b"m", &sig, QuorumRule::Qualified));
+        assert!(scheme.verify(b"m", &sig, QuorumRule::Qualified, |_| false));
     }
 
     #[test]
@@ -550,7 +569,7 @@ mod tests {
         assert_eq!(bytes.len(), sig.size_bytes());
         let parsed = ThresholdSignature::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, sig);
-        assert!(scheme.verify(b"m", &parsed, QuorumRule::Core));
+        assert!(scheme.verify(b"m", &parsed, QuorumRule::Core, |_| false));
         // Truncated or padded input is rejected.
         assert!(ThresholdSignature::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         let mut padded = bytes;
@@ -604,7 +623,7 @@ mod tests {
             .combine_preverified(&shares, QuorumRule::Strong)
             .unwrap();
         assert_eq!(defensive, fast);
-        assert!(scheme.verify(b"m", &fast, QuorumRule::Strong));
+        assert!(scheme.verify(b"m", &fast, QuorumRule::Strong, |_| false));
         assert_eq!(
             scheme.combine_preverified(&shares[..2], QuorumRule::Strong),
             Err(CombineError::InsufficientQuorum)
@@ -624,7 +643,7 @@ mod tests {
         let sig = scheme
             .combine_preverified(&shares, QuorumRule::Core)
             .unwrap();
-        assert!(!scheme.verify(b"m", &sig, QuorumRule::Core));
+        assert!(!scheme.verify(b"m", &sig, QuorumRule::Core, |_| false));
     }
 
     /// The per-signature check `verify` replaced, kept as the oracle.
@@ -646,13 +665,16 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
         /// Valid certificates at (4,1), (10,3), (16,5) and §4.3 Example 1,
-        /// and each single corruption of one.
+        /// and each single corruption of one, checked with a random
+        /// subset of the genuine shares already known: the verdict is the
+        /// oracle's, and exactly the unknown signatures are batched.
         #[test]
         fn verify_matches_per_signature_oracle(
             seed in proptest::arbitrary::any::<u64>(),
             which in 0usize..4,
             rule in 0usize..3,
             corruption in 0usize..8,
+            known_mask in proptest::arbitrary::any::<u64>(),
         ) {
             let structure = match which {
                 0 => TrustStructure::threshold(4, 1).unwrap(),
@@ -702,8 +724,38 @@ mod tests {
                 7 => sig.signatures.push(sig.signatures[0]),
                 _ => {}
             }
+            // What a verifier that checked some shares over "m" knows.
+            let known: Vec<SignatureShare> = if message == b"m" {
+                shares
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| known_mask >> (j % 64) & 1 == 1)
+                    .map(|(_, s)| *s)
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let unknown = if scheme.rule_satisfied(&sig.signers, rule)
+                && sig.signers.len() == sig.signatures.len()
+            {
+                sig.signers
+                    .iter()
+                    .zip(&sig.signatures)
+                    .filter(|&(party, &signature)| {
+                        !known.contains(&SignatureShare { party, signature })
+                    })
+                    .count() as u64
+            } else {
+                0
+            };
             let oracle = verify_oracle(&scheme, message, &sig, rule);
-            proptest::prop_assert_eq!(scheme.verify(message, &sig, rule), oracle);
+            proptest::prop_assert_eq!(scheme.verify(message, &sig, rule, |_| false), oracle);
+            let before = sintra_obs::global::sigs_verified_count();
+            proptest::prop_assert_eq!(
+                scheme.verify(message, &sig, rule, |s| known.contains(s)),
+                oracle
+            );
+            proptest::prop_assert_eq!(sintra_obs::global::sigs_verified_count() - before, unknown);
             proptest::prop_assert_eq!(oracle, corruption == 0 || (corruption == 3 && k == 1));
         }
     }
@@ -718,10 +770,10 @@ mod tests {
             .combine_preverified(&[share], QuorumRule::Qualified)
             .unwrap();
         assert_eq!(sig.signatures.len(), 1);
-        assert!(scheme.verify(b"m", &sig, QuorumRule::Qualified));
+        assert!(scheme.verify(b"m", &sig, QuorumRule::Qualified, |_| false));
         assert!(verify_oracle(&scheme, b"m", &sig, QuorumRule::Qualified));
         sig.signatures[0].response = sig.signatures[0].response + Scalar::ONE;
-        assert!(!scheme.verify(b"m", &sig, QuorumRule::Qualified));
+        assert!(!scheme.verify(b"m", &sig, QuorumRule::Qualified, |_| false));
         assert!(!verify_oracle(&scheme, b"m", &sig, QuorumRule::Qualified));
     }
 

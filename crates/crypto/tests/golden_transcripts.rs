@@ -80,7 +80,7 @@ fn signature_bytes_are_pinned() {
         .expect("quorum combines");
     assert!(public
         .signing()
-        .verify(message, &sig, QuorumRule::Qualified));
+        .verify(message, &sig, QuorumRule::Qualified, |_| false));
     assert_eq!(
         hex(&sig.to_bytes()),
         "0000000000000000000000000000000f3e6c82ce9158c9f24a21dd202d495506f48bdf5755257677337d4cefba210cdc4b1df2a10ca1cd7869ea2c9fcb454c5babe721488d48d375eaede04b87aa9b7b03b3ed28ec549a0119496e7164803637a2f085e9bc47e590581b78f417e7736d1796c38ad898e71fb61626367ba276578fafe5bbee767081556a99ddb1f5a78828a9ec06171ee17154489a1d940288386709e8927aaaf4d62b4cec69012d74a302f4c19db7c8b4366ce769d929dcc5e1a562a76a9785fae3bf8ad2ed2d4cbf33b1a4f49f7633e3118b9c1019b6f38821fc22fbde3153d20714c6160f3bee9f3737bdc930f520c75de090da3107efdf8a77a77e6892a4a4a87d07c59de5cd5242",

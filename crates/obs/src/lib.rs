@@ -383,21 +383,29 @@ pub mod global {
     thread_local! {
         static SHARE_FALLBACK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
         static SIG_VERIFY: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        static SIGS_VERIFIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     /// Counts one aggregate signature check — a certificate, a voucher,
-    /// a proposal's entry signatures — however many signatures it
-    /// covers (`PublicKey::verify_batch`). Thread-local and always on,
-    /// like [`crypto_share_fallback`], so a test's count is exact under
+    /// a proposal's entry signatures — covering `signatures` signatures
+    /// (`PublicKey::verify_batch`). Thread-local and always on, like
+    /// [`crypto_share_fallback`], so a test's count is exact under
     /// parallel test threads.
     #[inline]
-    pub fn crypto_sig_verify() {
+    pub fn crypto_sig_verify(signatures: u64) {
         SIG_VERIFY.with(|c| c.set(c.get() + 1));
+        SIGS_VERIFIED.with(|c| c.set(c.get() + signatures));
     }
 
     /// This thread's running aggregate signature check count.
     pub fn sig_verify_count() -> u64 {
         SIG_VERIFY.with(|c| c.get())
+    }
+
+    /// This thread's running count of signatures handed to aggregate
+    /// checks (the sum of their sizes).
+    pub fn sigs_verified_count() -> u64 {
+        SIGS_VERIFIED.with(|c| c.get())
     }
 
     /// Counts `shares` per-share fallback re-verifications taken after

@@ -398,6 +398,34 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
         self.tag.message(&[b"coin", &round.to_be_bytes()])
     }
 
+    /// Whether a share over `pre(round, value)` equals one this party's
+    /// round tracker already verified: a certificate signature that
+    /// matches it needs no second check.
+    fn known_prevote(&self, round: u64, value: bool) -> impl Fn(&SignatureShare) -> bool + '_ {
+        let verified = self
+            .rounds
+            .get(&round)
+            .map(|rs| rs.prevotes[value as usize].verified());
+        move |s| {
+            verified
+                .and_then(|v| v.get(&s.party()))
+                .is_some_and(|pv| pv.share == *s)
+        }
+    }
+
+    /// [`known_prevote`](Self::known_prevote) for `main(round, vote)`.
+    fn known_mainvote(
+        &self,
+        round: u64,
+        vote: MainVoteValue,
+    ) -> impl Fn(&SignatureShare) -> bool + '_ {
+        let verified = self
+            .rounds
+            .get(&round)
+            .map(|rs| rs.mainvotes[vote.code() as usize].verified());
+        move |s| verified.and_then(|v| v.get(&s.party())) == Some(s)
+    }
+
     /// Starts the instance with the party's input bit (no evidence;
     /// biased instances reject a 1-input this way).
     ///
@@ -483,7 +511,9 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
             return Ok(false);
         }
         let to_sign = self.pre_msg(pv.round, pv.value);
-        if !self.public.signing().verify_share(&to_sign, &pv.share) {
+        if !self.known_prevote(pv.round, pv.value)(&pv.share)
+            && !self.public.signing().verify_share(&to_sign, &pv.share)
+        {
             return Ok(false);
         }
         self.validate_prevote_just(pv)
@@ -521,14 +551,23 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
                     return Ok(false);
                 }
                 let prev = self.pre_msg(pv.round - 1, pv.value);
-                Ok(self.public.signing().verify(&prev, sig, QuorumRule::Core))
+                let known = self.known_prevote(pv.round - 1, pv.value);
+                Ok(self
+                    .public
+                    .signing()
+                    .verify(&prev, sig, QuorumRule::Core, known))
             }
             PreVoteJust::Coin(sig) => {
                 if pv.round < 2 {
                     return Ok(false);
                 }
                 let prev = self.main_msg(pv.round - 1, MainVoteValue::Abstain);
-                if !self.public.signing().verify(&prev, sig, QuorumRule::Core) {
+                let known = self.known_mainvote(pv.round - 1, MainVoteValue::Abstain);
+                if !self
+                    .public
+                    .signing()
+                    .verify(&prev, sig, QuorumRule::Core, known)
+                {
                     return Ok(false);
                 }
                 match self
@@ -546,7 +585,8 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
     /// Validates everything about a main-vote *except* its own signature
     /// share (deferred to quorum-time batching). Pre-votes embedded in
     /// an abstain justification are still *fully* verified — they come
-    /// from third parties the batch path cannot hold accountable.
+    /// from third parties the batch path cannot hold accountable — except
+    /// for a share this party's own tracker already verified.
     fn validate_mainvote_lazy(&self, from: PartyId, mv: &MainVote<E>) -> Result<bool, ()> {
         if mv.share.party() != from || mv.round == 0 {
             return Ok(false);
@@ -566,7 +606,11 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
             (MainVoteValue::Zero | MainVoteValue::One, MainVoteJust::Value(sig)) => {
                 let bit = mv.vote == MainVoteValue::One;
                 let pre = self.pre_msg(mv.round, bit);
-                Ok(self.public.signing().verify(&pre, sig, QuorumRule::Core))
+                let known = self.known_prevote(mv.round, bit);
+                Ok(self
+                    .public
+                    .signing()
+                    .verify(&pre, sig, QuorumRule::Core, known))
             }
             _ => Ok(false),
         }
@@ -637,11 +681,13 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
                 value,
                 proof,
             } => {
-                let main = self.main_msg(round, MainVoteValue::of_bit(value));
+                let vote = MainVoteValue::of_bit(value);
+                let main = self.main_msg(round, vote);
+                let known = self.known_mainvote(round, vote);
                 if !self
                     .public
                     .signing()
-                    .verify(&main, &proof, QuorumRule::Core)
+                    .verify(&main, &proof, QuorumRule::Core, known)
                 {
                     return None;
                 }
@@ -1455,9 +1501,15 @@ mod tests {
 
     /// Runs four nodes on all-1 inputs under a FIFO queue, delivering the
     /// first main-vote node 0 receives from a peer `copies` times;
-    /// returns the decisions and the aggregate checks those deliveries
-    /// cost.
-    fn fifo_run_duplicating_a_main_vote(copies: usize) -> (Vec<Option<bool>>, u64) {
+    /// returns the decisions and the aggregate checks, and signatures in
+    /// them, that those deliveries cost. With `fresh_signer`, one
+    /// signature of that main-vote's justification is swapped for a fresh
+    /// share by the same signer over the same pre-vote, which node 0 has
+    /// not verified; every other signature is one node 0 has.
+    fn fifo_run_duplicating_a_main_vote(
+        copies: usize,
+        fresh_signer: bool,
+    ) -> (Vec<Option<bool>>, (u64, u64)) {
         let mut nodes = nodes(4, 1, 61);
         let mut queue: std::collections::VecDeque<(PartyId, PartyId, Msg)> =
             std::collections::VecDeque::new();
@@ -1481,13 +1533,20 @@ mod tests {
             step(&mut nodes, &mut queue, p, None);
         }
         let mut cost = None;
-        while let Some((to, from, m)) = queue.pop_front() {
+        while let Some((to, from, mut m)) = queue.pop_front() {
             if cost.is_none() && to == 0 && from != 0 && matches!(m, AbbaMessage::MainVote(_)) {
+                if fresh_signer {
+                    m = with_one_fresh_signature(&mut nodes, m);
+                }
                 let before = sintra_obs::global::sig_verify_count();
+                let sigs_before = sintra_obs::global::sigs_verified_count();
                 for _ in 0..copies {
                     step(&mut nodes, &mut queue, to, Some((from, m.clone())));
                 }
-                cost = Some(sintra_obs::global::sig_verify_count() - before);
+                cost = Some((
+                    sintra_obs::global::sig_verify_count() - before,
+                    sintra_obs::global::sigs_verified_count() - sigs_before,
+                ));
                 continue;
             }
             step(&mut nodes, &mut queue, to, Some((from, m)));
@@ -1495,14 +1554,273 @@ mod tests {
         (decisions, cost.expect("node 0 received a peer's main-vote"))
     }
 
+    /// Rebuilds a bit main-vote's justification from node 0's verified
+    /// pre-vote shares, except for its last signer, whose share is signed
+    /// afresh (so it is valid but new to node 0).
+    fn with_one_fresh_signature(nodes: &mut [AbbaNode], m: Msg) -> Msg {
+        let AbbaMessage::MainVote(mut mv) = m else {
+            unreachable!("called on a main-vote")
+        };
+        let MainVoteJust::Value(cert) = &mv.just else {
+            panic!("an all-1 run main-votes a bit")
+        };
+        let bit = mv.vote == MainVoteValue::One;
+        let fresh = cert.signers().iter().last().expect("a core quorum signs");
+        let pre = nodes[0].abba.pre_msg(mv.round, bit);
+        let node = &mut nodes[fresh];
+        let new_share = node
+            .abba
+            .bundle
+            .signing_key()
+            .sign_share(&pre, &mut node.rng);
+        let verified = nodes[0].abba.rounds[&mv.round].prevotes[bit as usize].verified();
+        let shares: Vec<SignatureShare> = cert
+            .signers()
+            .iter()
+            .map(|p| {
+                if p == fresh {
+                    new_share
+                } else {
+                    verified[&p].share
+                }
+            })
+            .collect();
+        let cert = nodes[0]
+            .abba
+            .public
+            .signing()
+            .combine_preverified(&shares, QuorumRule::Core)
+            .expect("the same signer set");
+        mv.just = MainVoteJust::Value(cert);
+        AbbaMessage::MainVote(mv)
+    }
+
     #[test]
     fn duplicated_main_vote_costs_one_justification_check() {
-        let (once, one_check) = fifo_run_duplicating_a_main_vote(1);
-        let (fifty, fifty_checks) = fifo_run_duplicating_a_main_vote(50);
-        assert_eq!(one_check, 1, "a main-vote's justification is one check");
-        assert_eq!(fifty_checks, 1, "49 copies are dropped before validation");
+        let (plain, plain_cost) = fifo_run_duplicating_a_main_vote(1, false);
+        let (once, one_check) = fifo_run_duplicating_a_main_vote(1, true);
+        let (fifty, fifty_checks) = fifo_run_duplicating_a_main_vote(50, true);
+        assert_eq!(
+            plain_cost,
+            (0, 0),
+            "node 0 verified every pre-vote share in the justification"
+        );
+        assert_eq!(one_check, (1, 1), "one new signature is one check");
+        assert_eq!(
+            fifty_checks, one_check,
+            "49 copies are dropped before validation"
+        );
         assert_eq!(once, vec![Some(true); 4]);
+        assert_eq!(plain, once, "same decisions");
         assert_eq!(fifty, once, "same decisions");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Round-1 certificates checked by a party that already verified
+        /// a random subset of the round's pre-vote and main-vote shares
+        /// give the memo-free verdict (`verify` with nothing known), and
+        /// batch exactly the signatures the trackers do not hold. Kinds:
+        /// 0 `Value`, 1 `Hard`, 2 `Coin`, 3 `Decided`, 4 `Abstain` (its
+        /// embedded pre-vote for 1 is the certificate's first signer's).
+        /// Cases: 0 the subset as is, 1 every signature known, 2 one
+        /// signer's share fresh (valid, unknown), 3 one signature forged.
+        #[test]
+        fn certificates_match_memo_free_oracle(
+            seed in proptest::arbitrary::any::<u64>(),
+            big in proptest::arbitrary::any::<bool>(),
+            kind in 0usize..5,
+            case in 0usize..4,
+            known_mask in proptest::arbitrary::any::<u64>(),
+        ) {
+            let (n, t) = if big { (10, 3) } else { (4, 1) };
+            let mut nodes = nodes(n, t, seed);
+            let mut rng = SeededRng::new(seed);
+            let abstain = nodes[0].abba.main_msg(1, MainVoteValue::Abstain);
+            let (msg, vote) = match kind {
+                2 => (abstain.clone(), MainVoteValue::Abstain),
+                3 => (nodes[0].abba.main_msg(1, MainVoteValue::One), MainVoteValue::One),
+                _ => (nodes[0].abba.pre_msg(1, true), MainVoteValue::One),
+            };
+            let sign = |nodes: &[AbbaNode], p: usize, m: &[u8], rng: &mut SeededRng| {
+                nodes[p].abba.bundle.signing_key().sign_share(m, rng)
+            };
+            let signers: Vec<PartyId> = (0..n - t).collect();
+            let i = signers[rng.next_u64() as usize % signers.len()];
+            let known = |p: usize| match case {
+                1 => true,
+                2 if p == i => false,
+                _ => known_mask >> p & 1 == 1,
+            };
+            // Node 0's round-1 trackers hold the known parties' shares.
+            let mut shares = Vec::new();
+            for &p in &signers {
+                let share = sign(&nodes, p, &msg, &mut rng);
+                shares.push(share);
+                if !known(p) {
+                    continue;
+                }
+                let rs = nodes[0].abba.round_state(1);
+                if kind == 2 || kind == 3 {
+                    rs.mainvotes[vote.code() as usize].insert(p, share);
+                } else {
+                    let just = PreVoteJust::FirstRound(None);
+                    let pv = PreVote { round: 1, value: true, just, share };
+                    rs.prevotes[1].insert(p, pv);
+                }
+            }
+            let public = Arc::clone(&nodes[0].abba.public);
+            let rs = nodes[0].abba.round_state(1);
+            for tracker in rs.prevotes.iter_mut() {
+                tracker.settle(|_| Ok(()));
+            }
+            for tracker in rs.mainvotes.iter_mut() {
+                tracker.settle(|_| Ok(()));
+            }
+            let at = signers.iter().position(|&p| p == i).unwrap();
+            match case {
+                2 => shares[at] = sign(&nodes, i, &msg, &mut rng),
+                3 => {
+                    let mut bytes = shares[at].to_bytes();
+                    bytes[67] ^= 1;
+                    shares[at] = SignatureShare::from_bytes(&bytes).unwrap();
+                }
+                _ => {}
+            }
+            let unknown = signers
+                .iter()
+                .filter(|&&p| !known(p) || (case == 3 && p == i))
+                .count() as u64;
+            let cert = public.signing().combine_preverified(&shares, QuorumRule::Core).unwrap();
+            let oracle = public.signing().verify(&msg, &cert, QuorumRule::Core, |_| false);
+            proptest::prop_assert_eq!(oracle, case != 3);
+            let abba = &mut nodes[0].abba;
+            let mut out = Outbox::new(n);
+            let before = sintra_obs::global::sigs_verified_count();
+            let verdict = match kind {
+                0 => {
+                    let just = MainVoteJust::Value(cert);
+                    let share = shares[0];
+                    let mv = MainVote { round: 1, vote: MainVoteValue::One, just, share };
+                    abba.validate_mainvote_lazy(signers[0], &mv) == Ok(true)
+                }
+                1 | 2 => {
+                    let just = if kind == 1 { PreVoteJust::Hard(cert) } else { PreVoteJust::Coin(cert) };
+                    let pv = PreVote { round: 2, value: true, just, share: shares[0] };
+                    // A valid coin justification waits for the coin.
+                    abba.validate_prevote_just(&pv) != Ok(false)
+                }
+                3 => {
+                    let m = AbbaMessage::Decided { round: 1, value: true, proof: cert };
+                    abba.on_message(1, m, &mut rng, &mut out) == Some(true)
+                }
+                _ => {
+                    let zero = abba.pre_msg(1, false);
+                    let pv0 = PreVote {
+                        round: 1,
+                        value: false,
+                        just: PreVoteJust::FirstRound(None),
+                        share: abba.bundle.signing_key().sign_share(&zero, &mut rng),
+                    };
+                    let pv1 = PreVote {
+                        round: 1,
+                        value: true,
+                        just: PreVoteJust::FirstRound(None),
+                        share: shares[at],
+                    };
+                    let just = MainVoteJust::Abstain(Box::new(pv0), Box::new(pv1));
+                    let share = abba.bundle.signing_key().sign_share(&abstain, &mut rng);
+                    let mv = MainVote { round: 1, vote: MainVoteValue::Abstain, just, share };
+                    abba.validate_mainvote_lazy(0, &mv) == Ok(true)
+                }
+            };
+            proptest::prop_assert_eq!(verdict, oracle);
+            if kind != 4 {
+                proptest::prop_assert_eq!(sintra_obs::global::sigs_verified_count() - before, unknown);
+            }
+        }
+    }
+
+    #[test]
+    fn verified_shares_are_known_only_for_their_own_message() {
+        // Node 0 verified everyone's round-1 pre-vote for 1 and main-vote
+        // for 1. Their certificates relabelled to the other bit, or to
+        // another round, must still fail.
+        let mut nodes = nodes(4, 1, 62);
+        let mut rng = SeededRng::new(63);
+        let pre1 = nodes[0].abba.pre_msg(1, true);
+        let main1 = nodes[0].abba.main_msg(1, MainVoteValue::One);
+        let pre_shares: Vec<SignatureShare> = (0..4)
+            .map(|p| {
+                nodes[p]
+                    .abba
+                    .bundle
+                    .signing_key()
+                    .sign_share(&pre1, &mut rng)
+            })
+            .collect();
+        let main_shares: Vec<SignatureShare> = (0..4)
+            .map(|p| {
+                nodes[p]
+                    .abba
+                    .bundle
+                    .signing_key()
+                    .sign_share(&main1, &mut rng)
+            })
+            .collect();
+        let abba = &mut nodes[0].abba;
+        let rs = abba.round_state(1);
+        for (p, share) in pre_shares.iter().enumerate() {
+            let just = PreVoteJust::FirstRound(None);
+            let pv = PreVote {
+                round: 1,
+                value: true,
+                just,
+                share: *share,
+            };
+            rs.prevotes[1].insert(p, pv);
+            rs.mainvotes[1].insert(p, main_shares[p]);
+        }
+        rs.prevotes[1].settle(|_| Ok(()));
+        rs.mainvotes[1].settle(|_| Ok(()));
+        let signing = abba.public.signing().clone();
+        let pre_cert = signing
+            .combine_preverified(&pre_shares, QuorumRule::Core)
+            .unwrap();
+        let main_cert = signing
+            .combine_preverified(&main_shares, QuorumRule::Core)
+            .unwrap();
+        let zero = MainVote {
+            round: 1,
+            vote: MainVoteValue::Zero,
+            just: MainVoteJust::Value(pre_cert.clone()),
+            share: main_shares[0],
+        };
+        assert_eq!(abba.validate_mainvote_lazy(0, &zero), Ok(false));
+        let hard = PreVote {
+            round: 3,
+            value: true,
+            just: PreVoteJust::Hard(pre_cert),
+            share: pre_shares[0],
+        };
+        assert_eq!(abba.validate_prevote_just(&hard), Ok(false));
+        let coin = PreVote {
+            round: 2,
+            value: true,
+            just: PreVoteJust::Coin(main_cert.clone()),
+            share: pre_shares[0],
+        };
+        assert_eq!(abba.validate_prevote_just(&coin), Ok(false));
+        let decided = AbbaMessage::Decided {
+            round: 1,
+            value: false,
+            proof: main_cert,
+        };
+        assert_eq!(
+            abba.on_message(1, decided, &mut rng, &mut Outbox::new(4)),
+            None
+        );
     }
 
     #[test]

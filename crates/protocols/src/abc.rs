@@ -25,6 +25,7 @@
 use crate::common::{digest, Digest, Outbox, Tag, WireKind};
 use crate::mvba::{Mvba, MvbaMessage, ValidityPredicate};
 use crate::pool::VerifyPool;
+use parking_lot::Mutex;
 use sintra_adversary::party::{PartyId, PartySet};
 use sintra_crypto::dealer::{PublicParameters, ServerKeyBundle};
 use sintra_crypto::rng::SeededRng;
@@ -34,7 +35,7 @@ use sintra_net::protocol::{Context, Effects, Protocol};
 use sintra_obs::{Event, EventKind, Layer};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Atomic-broadcast wire messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -242,8 +243,11 @@ pub struct AtomicBroadcast {
     /// delivery).
     charged: HashMap<Digest, PartyId>,
     push_bound: usize,
-    /// Verified round proposals per round and party.
-    proposals: BTreeMap<u64, HashMap<PartyId, (Vec<u8>, Signature)>>,
+    /// Verified round proposals per round and party. Each round's map is
+    /// shared with that round's validity predicate, which skips the
+    /// signature of any list entry equal to one held here; dropping a
+    /// round here drops that memo too (the predicate holds a `Weak`).
+    proposals: BTreeMap<u64, Arc<ProposalMap>>,
     /// Per round: the digest of every payload some verified proposal in
     /// `proposals` carries — what the pipelining trigger consults to
     /// tell a payload already riding an open round from a fresh one.
@@ -388,8 +392,7 @@ impl AtomicBroadcast {
         let props: usize = self
             .proposals
             .values()
-            .flat_map(|m| m.values())
-            .map(|(p, _)| p.len() + 64)
+            .map(|m| m.lock().values().map(|(p, _)| p.len() + 64).sum::<usize>())
             .sum::<usize>()
             + self.carried.values().map(|c| c.len() * 32).sum::<usize>();
         // digest + round key in both the map and the round index
@@ -611,7 +614,9 @@ impl AtomicBroadcast {
                 // piggybacked on existing traffic.
                 self.ack_round[from] =
                     self.ack_round[from].max(round.saturating_sub(PIPELINE_ACK_SLACK));
-                if let Entry::Vacant(slot) = self.proposals.entry(round).or_default().entry(from) {
+                if let Entry::Vacant(slot) =
+                    self.proposals.entry(round).or_default().lock().entry(from)
+                {
                     slot.insert((encoded, sig));
                     self.carried
                         .entry(round)
@@ -641,14 +646,23 @@ impl AtomicBroadcast {
     }
 
     fn mvba_instance(&mut self, round: u64) -> &mut Mvba {
-        let tag = self.tag.child("round", round);
-        let public = Arc::clone(&self.public);
-        let bundle = Arc::clone(&self.bundle);
-        let predicate = round_validity(&self.tag, round, Arc::clone(&self.public));
-        let mvba = self
-            .mvbas
-            .entry(round)
-            .or_insert_with(|| Mvba::new(tag, public, bundle, predicate));
+        if !self.mvbas.contains_key(&round) {
+            // A round already closed here has no memo left to share.
+            let known = if round >= self.round {
+                Arc::downgrade(self.proposals.entry(round).or_default())
+            } else {
+                Weak::new()
+            };
+            let predicate = round_validity(&self.tag, round, Arc::clone(&self.public), known);
+            let mvba = Mvba::new(
+                self.tag.child("round", round),
+                Arc::clone(&self.public),
+                Arc::clone(&self.bundle),
+                predicate,
+            );
+            self.mvbas.insert(round, mvba);
+        }
+        let mvba = self.mvbas.get_mut(&round).expect("inserted above");
         if let Some(pool) = &self.verify_pool {
             if !mvba.has_verify_pool() {
                 mvba.set_verify_pool(Arc::clone(pool));
@@ -810,11 +824,7 @@ impl AtomicBroadcast {
                 //    (or a filler if others are active and we have
                 //    nothing eligible).
                 if !self.sent_queued.contains(&r) {
-                    let round_active = self
-                        .proposals
-                        .get(&r)
-                        .map(|p| !p.is_empty())
-                        .unwrap_or(false)
+                    let round_active = self.proposals.get(&r).is_some_and(|p| !p.lock().is_empty())
                         || self.decided_lists.contains_key(&r);
                     let len = self.batch_len();
                     let worth_a_round = if r == base {
@@ -846,11 +856,12 @@ impl AtomicBroadcast {
                     let holders: PartySet = self
                         .proposals
                         .get(&r)
-                        .map(|p| p.keys().copied().collect())
+                        .map(|p| p.lock().keys().copied().collect())
                         .unwrap_or_default();
                     if self.public.structure().is_core(&holders) {
                         self.mvba_proposed.insert(r);
                         let entries: Vec<(PartyId, Vec<u8>, Signature)> = self.proposals[&r]
+                            .lock()
                             .iter()
                             .map(|(p, (payload, sig))| (*p, payload.clone(), *sig))
                             .collect();
@@ -972,7 +983,7 @@ impl AtomicBroadcast {
             // Each entry is a signed batch; sub-payloads deliver in
             // queue order within their origin's entry. An empty batch
             // is the round filler. Validity guaranteed decodability.
-            let batch = decode_batch(&encoded).expect("decided lists passed external validity");
+            let batch = decode_batch(encoded).expect("decided lists passed external validity");
             for payload in batch {
                 let d = digest(&payload);
                 if self.delivered.contains_key(&d) {
@@ -1010,37 +1021,65 @@ impl AtomicBroadcast {
     }
 }
 
+/// One round's verified `Queued` proposals, by party: the batch
+/// encoding and its signature.
+type ProposalMap = Mutex<HashMap<PartyId, (Vec<u8>, Signature)>>;
+
 /// The external validity predicate for round `r`: the value must decode
 /// to a list of distinct-party entries whose holders form a core set,
 /// each correctly signed for this round (all signatures in one batch
 /// equation, checked last).
-fn round_validity(tag: &Tag, round: u64, public: Arc<PublicParameters>) -> ValidityPredicate {
+///
+/// `known` is this party's own round-`r` proposal map. An entry equal to
+/// one held there — same party, same batch bytes, same signature bytes
+/// — carries a signature this party verified when the `Queued` arrived,
+/// so only the other entries are decoded and batch-verified. The verdict
+/// is the one a full check gives; only its cost depends on local state.
+fn round_validity(
+    tag: &Tag,
+    round: u64,
+    public: Arc<PublicParameters>,
+    known: Weak<ProposalMap>,
+) -> ValidityPredicate {
     let tag = tag.clone();
     Arc::new(move |value: &[u8]| {
-        let entries = match decode_list(value) {
-            Some(e) => e,
-            None => return false,
+        let Some(entries) = decode_list(value) else {
+            return false;
         };
         let mut holders = PartySet::new();
-        let mut msgs = Vec::with_capacity(entries.len());
-        for (party, payload, _) in &entries {
-            if *party >= public.n() || !holders.insert(*party) {
-                return false; // out of range or duplicate
+        let mut unknown = Vec::new();
+        {
+            let memo = known.upgrade();
+            let memo = memo.as_deref().map(Mutex::lock);
+            for &(party, payload, sig) in &entries {
+                if party >= public.n() || !holders.insert(party) {
+                    return false; // out of range or duplicate
+                }
+                // The entry payload must be a well-formed, bounded batch
+                // encoding; delivery relies on it decoding cleanly.
+                if decode_batch(payload).is_none() {
+                    return false;
+                }
+                let seen = memo.as_ref().and_then(|m| m.get(&party));
+                if seen.is_some_and(|(p, s)| p[..] == *payload && s.to_bytes() == *sig) {
+                    continue;
+                }
+                let Some(sig) = Signature::from_bytes(sig) else {
+                    return false;
+                };
+                unknown.push((
+                    party,
+                    tag.message(&[b"queued", &round.to_be_bytes(), payload]),
+                    sig,
+                ));
             }
-            // The entry payload must be a well-formed, bounded batch
-            // encoding; delivery relies on it decoding cleanly.
-            if decode_batch(payload).is_none() {
-                return false;
-            }
-            msgs.push(tag.message(&[b"queued", &round.to_be_bytes(), payload]));
         }
         if !public.structure().is_core(&holders) {
             return false;
         }
-        let items: Vec<_> = entries
+        let items: Vec<_> = unknown
             .iter()
-            .zip(&msgs)
-            .map(|((party, _, sig), msg)| (public.auth_key(*party), &msg[..], sig))
+            .map(|(party, msg, sig)| (public.auth_key(*party), &msg[..], sig))
             .collect();
         PublicKey::verify_batch(&items)
     })
@@ -1059,17 +1098,23 @@ fn encode_list(entries: &[(PartyId, Vec<u8>, Signature)]) -> Vec<u8> {
     out
 }
 
-/// Decodes a proposal list; `None` on malformed input.
-fn decode_list(bytes: &[u8]) -> Option<Vec<(PartyId, Vec<u8>, Signature)>> {
-    let mut rest = bytes;
-    let take = |rest: &mut &[u8], n: usize| -> Option<Vec<u8>> {
+/// One proposal-list entry as borrowed from the encoding.
+type ListEntry<'a> = (PartyId, &'a [u8], &'a [u8; 64]);
+
+/// Splits a proposal list into `(party, payload, signature bytes)`
+/// entries borrowed from `bytes`; `None` on malformed framing.
+/// Signatures stay undecoded, so a caller that needs only some of them
+/// pays the subgroup test for those alone.
+fn decode_list(bytes: &[u8]) -> Option<Vec<ListEntry<'_>>> {
+    fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
         if rest.len() < n {
             return None;
         }
         let (head, tail) = rest.split_at(n);
         *rest = tail;
-        Some(head.to_vec())
-    };
+        Some(head)
+    }
+    let mut rest = bytes;
     let count = u32::from_be_bytes(take(&mut rest, 4)?.try_into().ok()?) as usize;
     if count > 4096 {
         return None; // sanity bound
@@ -1082,8 +1127,8 @@ fn decode_list(bytes: &[u8]) -> Option<Vec<(PartyId, Vec<u8>, Signature)>> {
             return None;
         }
         let payload = take(&mut rest, len)?;
-        let sig_bytes: [u8; 64] = take(&mut rest, 64)?.try_into().ok()?;
-        out.push((party, payload, Signature::from_bytes(&sig_bytes)?));
+        let sig = take(&mut rest, 64)?.try_into().ok()?;
+        out.push((party, payload, sig));
     }
     if !rest.is_empty() {
         return None;
@@ -1932,6 +1977,7 @@ mod tests {
         );
         // Round 0 decides a list that leaves party 3's proposal out.
         let losers: Vec<(PartyId, Vec<u8>, Signature)> = node.proposals[&0]
+            .lock()
             .iter()
             .filter(|(party, _)| **party != 3)
             .map(|(party, (encoded, sig))| (*party, encoded.clone(), *sig))
@@ -2118,5 +2164,182 @@ mod tests {
         ns[0]
             .abc
             .broadcast(Vec::new(), &mut rng, &mut Outbox::new(n));
+    }
+
+    /// The memo-free predicate, kept as the oracle: every entry's
+    /// signature decoded and checked on its own.
+    fn round_validity_oracle(
+        tag: &Tag,
+        round: u64,
+        public: &PublicParameters,
+        list: &[u8],
+    ) -> bool {
+        let Some(entries) = decode_list(list) else {
+            return false;
+        };
+        let mut holders = PartySet::new();
+        for &(party, payload, sig) in &entries {
+            if party >= public.n() || !holders.insert(party) || decode_batch(payload).is_none() {
+                return false;
+            }
+            let Some(sig) = Signature::from_bytes(sig) else {
+                return false;
+            };
+            let msg = tag.message(&[b"queued", &round.to_be_bytes(), payload]);
+            if !public.auth_key(party).verify(&msg, &sig) {
+                return false;
+            }
+        }
+        public.structure().is_core(&holders)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// The round predicate with a proposal memo gives the oracle's
+        /// verdict, and batch-verifies exactly the entries the memo does
+        /// not hold. Cases: 0 every entry known, 1 one entry unknown,
+        /// 2 a known entry with a payload byte flipped, 3 with a
+        /// signature byte flipped, 4 an equivocating party whose entry is
+        /// a second validly signed `Queued`, 5 one forged signature among
+        /// known entries, 6 a random known subset.
+        #[test]
+        fn round_validity_matches_memo_free_oracle(
+            seed in proptest::arbitrary::any::<u64>(),
+            big in proptest::arbitrary::any::<bool>(),
+            case in 0usize..7,
+            known_mask in proptest::arbitrary::any::<u64>(),
+        ) {
+            let (n, t) = if big { (10, 3) } else { (4, 1) };
+            let ts = TrustStructure::threshold(n, t).unwrap();
+            let mut rng = SeededRng::new(seed);
+            let (public, bundles) = Dealer::deal(&ts, &mut rng);
+            let public = Arc::new(public);
+            let tag = Tag::root("abc");
+            let round = 3u64;
+            let signed = |party: usize, batch: &[u8], rng: &mut SeededRng| {
+                let msg = tag.message(&[b"queued", &round.to_be_bytes(), batch]);
+                bundles[party].auth_key().sign(&msg, rng)
+            };
+            // A core set of holders: everyone, then removals while core.
+            let mut holders: PartySet = (0..n).collect();
+            for _ in 0..n {
+                let mut fewer = holders;
+                fewer.remove(rng.next_u64() as usize % n);
+                if ts.is_core(&fewer) {
+                    holders = fewer;
+                }
+            }
+            let mut entries: Vec<(PartyId, Vec<u8>, Signature)> = holders
+                .iter()
+                .map(|p| {
+                    let batch = encode_batch(&[format!("req-{p}-{seed}").into_bytes()]);
+                    let sig = signed(p, &batch, &mut rng);
+                    (p, batch, sig)
+                })
+                .collect();
+            let memo: Arc<ProposalMap> = Arc::default();
+            let known = |j: usize| match case {
+                1 => j != 0,
+                6 => known_mask >> (j % 64) & 1 == 1,
+                _ => true,
+            };
+            for (j, (p, batch, sig)) in entries.iter().enumerate() {
+                if known(j) {
+                    memo.lock().insert(*p, (batch.clone(), *sig));
+                }
+            }
+            let i = rng.next_u64() as usize % entries.len();
+            match case {
+                2 => *entries[i].1.last_mut().unwrap() ^= 1,
+                3 => {
+                    let mut bytes = entries[i].2.to_bytes();
+                    bytes[63] ^= 1;
+                    entries[i].2 = Signature::from_bytes(&bytes).expect("response bytes decode");
+                }
+                4 => {
+                    let batch = encode_batch(&[b"equivocation".to_vec()]);
+                    entries[i].2 = signed(entries[i].0, &batch, &mut rng);
+                    entries[i].1 = batch;
+                }
+                5 => {
+                    let other = (entries[i].0 + 1) % n;
+                    entries[i].2 = signed(other, &entries[i].1, &mut rng);
+                }
+                _ => {}
+            }
+            let list = encode_list(&entries);
+            let unknown = entries
+                .iter()
+                .filter(|(p, batch, sig)| memo.lock().get(p) != Some(&(batch.clone(), *sig)))
+                .count() as u64;
+            let oracle = round_validity_oracle(&tag, round, &public, &list);
+            proptest::prop_assert_eq!(oracle, !matches!(case, 2 | 3 | 5));
+            for (known, expect) in [(Arc::downgrade(&memo), unknown), (Weak::new(), entries.len() as u64)] {
+                let predicate = round_validity(&tag, round, Arc::clone(&public), known);
+                let before = sintra_obs::global::sigs_verified_count();
+                proptest::prop_assert_eq!(predicate(&list), oracle);
+                proptest::prop_assert_eq!(sintra_obs::global::sigs_verified_count() - before, expect);
+            }
+        }
+    }
+
+    #[test]
+    fn proposal_memo_dies_with_its_round() {
+        let ts = TrustStructure::threshold(4, 1).unwrap();
+        let mut rng = SeededRng::new(7);
+        let (public, bundles) = Dealer::deal(&ts, &mut rng);
+        let tag = Tag::root("abc");
+        let mut node =
+            AtomicBroadcast::new(tag.clone(), Arc::new(public), Arc::new(bundles[0].clone()));
+        let queued = |party: usize, round: u64, rng: &mut SeededRng| {
+            let batch = vec![format!("{party}@{round}").into_bytes()];
+            let msg = tag.message(&[b"queued", &round.to_be_bytes(), &encode_batch(&batch)]);
+            let sig = bundles[party].auth_key().sign(&msg, rng);
+            AbcMessage::Queued { round, batch, sig }
+        };
+        let mut out = Outbox::new(4);
+        // Three proposals complete round 0's quorum: this party proposes
+        // a list of entries it verified on arrival, so the validity
+        // assert in `Mvba::propose` checks no signature.
+        let before = sintra_obs::global::sig_verify_count();
+        for party in 1..4 {
+            let m = queued(party, 0, &mut rng);
+            node.on_message(party, m, &mut rng, &mut out);
+        }
+        assert!(node.mvba_proposed.contains(&0));
+        assert_eq!(sintra_obs::global::sig_verify_count(), before);
+        let m = queued(1, 1, &mut rng);
+        node.on_message(1, m, &mut rng, &mut out);
+        let memo = |node: &AtomicBroadcast, r: u64| Arc::downgrade(&node.proposals[&r]);
+        let (round0, round1) = (memo(&node, 0), memo(&node, 1));
+        let no_memo_below_round = |node: &AtomicBroadcast| {
+            node.proposals.keys().all(|r| *r >= node.round())
+                && node.proposals.values().all(|m| Arc::strong_count(m) == 1)
+        };
+        // Round 0 decides: its memo goes with the garbage collection.
+        let list = encode_list(
+            &node.proposals[&0]
+                .lock()
+                .iter()
+                .map(|(p, (batch, sig))| (*p, batch.clone(), *sig))
+                .collect::<Vec<_>>(),
+        );
+        node.decided_lists.insert(0, list);
+        node.on_tick(&mut rng, &mut out);
+        assert_eq!(node.round(), 1);
+        assert!(round0.upgrade().is_none(), "round 0's memo is dropped");
+        assert!(round1.upgrade().is_some(), "the open round keeps its memo");
+        assert!(no_memo_below_round(&node));
+        // A state-transfer jump drops every skipped round's memo.
+        node.fast_forward(10, 9, &[]);
+        assert!(round1.upgrade().is_none(), "round 1's memo is dropped");
+        assert!(no_memo_below_round(&node));
+        // Late traffic for a closed round builds its machine with no memo.
+        let share = bundles[3].coin_key().share(b"late", &mut rng);
+        let inner = MvbaMessage::ElectCoin { election: 0, share };
+        node.on_message(3, AbcMessage::Mvba { round: 2, inner }, &mut rng, &mut out);
+        assert!(node.mvbas.contains_key(&2));
+        assert!(no_memo_below_round(&node));
     }
 }

@@ -73,7 +73,8 @@ pub struct ConsistentBroadcast {
     /// culled parties are rejected by the tracker).
     shares: BatchedShares<SignatureShare>,
     final_sent: bool,
-    echoed: bool,
+    /// The echo share this party sent, with the digest it signed.
+    echo: Option<(Digest, SignatureShare)>,
     delivered: bool,
     /// Parties whose `Final` failed verification. An honest party only
     /// sends a `Final` it combined or already validated, and the check is
@@ -112,7 +113,7 @@ impl ConsistentBroadcast {
             my_payload: None,
             shares: BatchedShares::new(),
             final_sent: false,
-            echoed: false,
+            echo: None,
             delivered: false,
             final_banned: PartySet::new(),
             pool: None,
@@ -152,13 +153,20 @@ impl ConsistentBroadcast {
     }
 
     /// Verifies a voucher independently of protocol state (used by
-    /// higher layers when a payload arrives through recovery paths).
-    pub fn verify_voucher(public: &PublicParameters, tag: &Tag, voucher: &Voucher) -> bool {
+    /// higher layers when a payload arrives through recovery paths),
+    /// skipping the signatures `known` names (see
+    /// [`ThresholdSigScheme::verify`](sintra_crypto::tsig::ThresholdSigScheme::verify)).
+    pub fn verify_voucher(
+        public: &PublicParameters,
+        tag: &Tag,
+        voucher: &Voucher,
+        known: impl Fn(&SignatureShare) -> bool,
+    ) -> bool {
         let d = digest(&voucher.payload);
         let msg = tag.message(&[b"cbc", &d]);
         public
             .signing()
-            .verify(&msg, &voucher.signature, QuorumRule::Core)
+            .verify(&msg, &voucher.signature, QuorumRule::Core, known)
     }
 
     /// Handles a message; returns the voucher when this party delivers.
@@ -174,13 +182,13 @@ impl ConsistentBroadcast {
         }
         match msg {
             CbcMessage::Send(payload) => {
-                if from != self.sender || self.echoed {
+                if from != self.sender || self.echo.is_some() {
                     return None;
                 }
-                self.echoed = true;
                 let d = digest(&payload);
                 let to_sign = self.signed_message(&d);
                 let share = self.bundle.signing_key().sign_share(&to_sign, rng);
+                self.echo = Some((d, share));
                 out.send(self.sender, CbcMessage::Echo(share));
                 None
             }
@@ -241,7 +249,16 @@ impl ConsistentBroadcast {
             payload,
             signature: sig,
         };
-        if !Self::verify_voucher(&self.public, &self.tag, &voucher) {
+        // Shares this party checked itself over this payload: its own
+        // echo, and at the sender the echo shares it verified — so the
+        // sender's own Final costs no exponentiation.
+        let d = digest(&voucher.payload);
+        let own_payload = self.my_payload.as_ref().is_some_and(|(_, mine)| *mine == d);
+        let known = |s: &SignatureShare| {
+            self.echo == Some((d, *s))
+                || (own_payload && self.shares.verified().get(&s.party()) == Some(s))
+        };
+        if !Self::verify_voucher(&self.public, &self.tag, &voucher, known) {
             self.final_banned.insert(from);
             return None;
         }
@@ -471,12 +488,18 @@ mod tests {
             panic!("expected final");
         };
         // Any third party can verify the voucher offline.
-        assert!(ConsistentBroadcast::verify_voucher(&public, &tag, &voucher));
+        assert!(ConsistentBroadcast::verify_voucher(
+            &public,
+            &tag,
+            &voucher,
+            |_| false
+        ));
         // And it does not verify under another tag.
         assert!(!ConsistentBroadcast::verify_voucher(
             &public,
             &Tag::root("other"),
-            &voucher
+            &voucher,
+            |_| false
         ));
     }
 
@@ -521,6 +544,88 @@ mod tests {
             &mut out,
         );
         assert!(delivered.is_some());
+    }
+
+    /// One broadcast at n = 4 in FIFO order: each party's `Final` check
+    /// batch-verifies only the signatures it neither made nor verified.
+    #[test]
+    fn a_final_checks_only_shares_its_receiver_has_not() {
+        let mut ns = nodes(4, 1, 0, 12);
+        let mut queue = std::collections::VecDeque::new();
+        let mut out = Outbox::new(4);
+        ns[0].cbc.broadcast(b"m".to_vec(), &mut out);
+        queue.extend(out.into_iter().map(|(to, m)| (0, to, m)));
+        let mut cost = [None; 4];
+        while let Some((from, to, m)) = queue.pop_front() {
+            let is_final = matches!(m, CbcMessage::Final(..));
+            let before = sintra_obs::global::sigs_verified_count();
+            let node = &mut ns[to];
+            let mut out = Outbox::new(4);
+            let delivered = node.cbc.on_message(from, m, &mut node.rng, &mut out);
+            if is_final {
+                assert!(delivered.is_some(), "party {to} delivers");
+                cost[to] = Some(sintra_obs::global::sigs_verified_count() - before);
+            }
+            queue.extend(out.into_iter().map(|(dest, m)| (to, dest, m)));
+        }
+        // The first three echoes (parties 0, 1, 2) form the voucher: the
+        // sender verified all three, parties 1 and 2 each signed one.
+        assert_eq!(cost, [Some(0), Some(2), Some(2), Some(3)]);
+    }
+
+    #[test]
+    fn own_checks_are_known_only_for_the_payload_they_cover() {
+        let ts = TrustStructure::threshold(4, 1).unwrap();
+        let mut rng = SeededRng::new(13);
+        let (public, bundles) = Dealer::deal(&ts, &mut rng);
+        let public = Arc::new(public);
+        let tag = Tag::root("equivocate");
+        let mut node = ConsistentBroadcast::new(
+            tag.clone(),
+            0,
+            Arc::clone(&public),
+            Arc::new(bundles[1].clone()),
+        );
+        let mut out = Outbox::new(node.n());
+        node.on_message(0, CbcMessage::Send(b"m1".to_vec()), &mut rng, &mut out);
+        let Some((_, CbcMessage::Echo(echo))) = out.into_iter().next() else {
+            panic!("the receiver echoes")
+        };
+        // A Byzantine sender packs that echo (over m1) with valid shares
+        // over m2 into a "certificate" for m2.
+        let m2 = tag.message(&[b"cbc", &digest(b"m2")]);
+        let mut shares = vec![echo];
+        shares.extend([0, 2].map(|p| bundles[p].signing_key().sign_share(&m2, &mut rng)));
+        let sig = public
+            .signing()
+            .combine_preverified(&shares, QuorumRule::Core)
+            .unwrap();
+        let forged = CbcMessage::Final(b"m2".to_vec(), sig);
+        let mut out = Outbox::new(node.n());
+        assert!(node.on_message(0, forged, &mut rng, &mut out).is_none());
+        // Likewise the sender's verified echo shares cover its own
+        // payload only: its voucher for m1 relabelled as one for m2 fails.
+        let mut sender = ConsistentBroadcast::new(
+            tag.clone(),
+            0,
+            Arc::clone(&public),
+            Arc::new(bundles[0].clone()),
+        );
+        sender.broadcast(b"m1".to_vec(), &mut out);
+        let m1 = tag.message(&[b"cbc", &digest(b"m1")]);
+        let mut out = Outbox::new(sender.n());
+        for (p, bundle) in bundles.iter().enumerate().skip(1) {
+            let share = bundle.signing_key().sign_share(&m1, &mut rng);
+            sender.on_message(p, CbcMessage::Echo(share), &mut rng, &mut out);
+        }
+        let Some((_, CbcMessage::Final(_, voucher))) = out.into_iter().next() else {
+            panic!("the sender combines a voucher")
+        };
+        let relabelled = CbcMessage::Final(b"m2".to_vec(), voucher);
+        let mut out = Outbox::new(sender.n());
+        assert!(sender
+            .on_message(3, relabelled, &mut rng, &mut out)
+            .is_none());
     }
 
     #[test]

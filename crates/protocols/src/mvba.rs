@@ -556,7 +556,7 @@ impl Mvba {
             if vouchers.lock().get(&candidate) == Some(v) {
                 return true;
             }
-            if !ConsistentBroadcast::verify_voucher(&public, &prop_tag, v)
+            if !ConsistentBroadcast::verify_voucher(&public, &prop_tag, v, |_| false)
                 || !(predicate)(&v.payload)
             {
                 return false;

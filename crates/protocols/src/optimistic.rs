@@ -608,7 +608,7 @@ impl OptimisticBroadcast {
         if !self
             .public
             .signing()
-            .verify(&msg, &cert, QuorumRule::Strong)
+            .verify(&msg, &cert, QuorumRule::Strong, |_| false)
         {
             return Vec::new();
         }
@@ -919,7 +919,10 @@ fn verify_report(public: &PublicParameters, tag: &Tag, report: &StateReport) -> 
             &p.seq.to_be_bytes(),
             &p.digest,
         ]);
-        if !public.signing().verify(&pmsg, &p.cert, QuorumRule::Strong) {
+        if !public
+            .signing()
+            .verify(&pmsg, &p.cert, QuorumRule::Strong, |_| false)
+        {
             return false;
         }
     }

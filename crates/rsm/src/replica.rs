@@ -1148,7 +1148,7 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
         if !self
             .public
             .signing()
-            .verify(&msg, &cert, QuorumRule::Qualified)
+            .verify(&msg, &cert, QuorumRule::Qualified, |_| false)
         {
             ctx.obs.inc(Layer::Rsm, "state_rejected");
             return;
