@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # sintra-apps
 //!
 //! Distributed trusted services on the SINTRA-RS architecture (Cachin,

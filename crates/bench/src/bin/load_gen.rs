@@ -31,7 +31,6 @@
 //! load_gen --smoke         # CI gate: one short n=4 run, asserts a
 //!                          #   requests/s floor, writes nothing
 //! load_gen --floor 25      # override the smoke floor (requests/s)
-//! load_gen --workers 2     # verification pool threads per replica
 //! load_gen --runtime reactor   # transport for --smoke (the full
 //!                              #   sweep measures both runtimes)
 //! ```
@@ -62,7 +61,6 @@ struct Knobs {
     batch_cap: usize,
     batch_bytes: usize,
     pipeline: usize,
-    workers: usize,
 }
 
 struct Point {
@@ -73,7 +71,6 @@ struct Point {
     p50_ms: f64,
     p99_ms: f64,
     completed: bool,
-    verify_off_thread: u64,
 }
 
 struct ConfigResult {
@@ -104,8 +101,7 @@ fn build_cluster(n: usize, t: usize, seed: u64, knobs: Knobs) -> Vec<RsmNode> {
         .seed(seed)
         .batch_cap(knobs.batch_cap)
         .batch_bytes(knobs.batch_bytes)
-        .pipeline_depth(knobs.pipeline as u64)
-        .verify_workers(knobs.workers);
+        .pipeline_depth(knobs.pipeline as u64);
     atomic_replicas_with(&cfg, public, bundles, |_| KvMachine::new())
 }
 
@@ -148,7 +144,7 @@ fn run_point(
             cfg.runtime = runtime;
             let started = Instant::now();
             let mut injected: u64 = 0;
-            let (report, node) = run_tcp_node_driven(
+            let (report, _node) = run_tcp_node_driven(
                 &cfg,
                 node,
                 move |node, ctx, fx| {
@@ -172,21 +168,18 @@ fn run_point(
                 |node, _outputs| node.applied() >= total && !node.is_fetching(),
             )
             .expect("socket setup");
-            let pool_stats = node.layer().verify_pool().map(|p| p.stats());
-            (report, pool_stats)
+            report
         }));
     }
 
     let mut latency = HistogramSnapshot::default();
     let mut completed = true;
-    let mut verify_off_thread = 0u64;
     for handle in handles {
-        let (report, pool_stats) = handle.join().expect("replica thread");
+        let report = handle.join().expect("replica thread");
         completed &= report.completed;
         if let Some(h) = report.metrics.hists.get("rsm.request_latency") {
             latency.merge(h);
         }
-        verify_off_thread += pool_stats.map_or(0, |s| s.ran_off_thread);
     }
 
     // Slowest replica's virtual-time watermark; fall back to the full
@@ -209,7 +202,6 @@ fn run_point(
         p50_ms: latency.quantile(0.5) as f64 / 1e6,
         p99_ms: latency.quantile(0.99) as f64 / 1e6,
         completed,
-        verify_off_thread,
     }
 }
 
@@ -225,8 +217,8 @@ fn run_config(
     budget: u64,
 ) -> ConfigResult {
     eprintln!(
-        "== n={n} t={t} mode={mode} runtime={runtime} (batch_cap={}, K={}, workers={}) ==",
-        knobs.batch_cap, knobs.pipeline, knobs.workers
+        "== n={n} t={t} mode={mode} runtime={runtime} (batch_cap={}, K={}) ==",
+        knobs.batch_cap, knobs.pipeline
     );
     let cap = run_point(n, t, seed, knobs, runtime, budget, f64::INFINITY);
     eprintln!(
@@ -273,15 +265,13 @@ fn to_json(results: &[ConfigResult], speedup: f64, reactor_ratio: f64) -> String
     for (i, c) in results.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"n\": {}, \"t\": {}, \"mode\": \"{}\", \"runtime\": \"{}\", \
-             \"batch_cap\": {}, \"pipeline_depth\": {}, \"verify_workers\": {}, \
-             \"points\": [\n",
-            c.n, c.t, c.mode, c.runtime, c.knobs.batch_cap, c.knobs.pipeline, c.knobs.workers
+             \"batch_cap\": {}, \"pipeline_depth\": {}, \"points\": [\n",
+            c.n, c.t, c.mode, c.runtime, c.knobs.batch_cap, c.knobs.pipeline
         ));
         for (j, p) in c.points.iter().enumerate() {
             s.push_str(&format!(
                 "      {{\"offered_rps\": {}, \"achieved_rps\": {}, \"requests\": {}, \
-                 \"elapsed_s\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"completed\": {}, \
-                 \"verify_jobs_off_thread\": {}}}{}\n",
+                 \"elapsed_s\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"completed\": {}}}{}\n",
                 json_f(p.offered_rps),
                 json_f(p.achieved_rps),
                 p.total,
@@ -289,7 +279,6 @@ fn to_json(results: &[ConfigResult], speedup: f64, reactor_ratio: f64) -> String
                 json_f(p.p50_ms),
                 json_f(p.p99_ms),
                 p.completed,
-                p.verify_off_thread,
                 if j + 1 < c.points.len() { "," } else { "" },
             ));
         }
@@ -323,7 +312,6 @@ fn main() {
     };
     let quick = has("--quick");
     let smoke = has("--smoke");
-    let workers = val("--workers").map_or(2, |v| v as usize);
     let seed = val("--seed").map_or(7, |v| v as u64);
     let runtime: TcpRuntime = args
         .iter()
@@ -337,13 +325,11 @@ fn main() {
         batch_cap: 16,
         batch_bytes: 64 << 10,
         pipeline: 2,
-        workers,
     };
     let unbatched = Knobs {
         batch_cap: 1,
         batch_bytes: 64 << 10,
         pipeline: 1,
-        workers: 0,
     };
 
     if smoke {

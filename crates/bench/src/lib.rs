@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Shared harness code for the SINTRA-RS experiment suite.
 //!
 //! Each experiment in `DESIGN.md`'s index (E1-E9) has a binary in

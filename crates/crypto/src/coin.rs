@@ -138,11 +138,10 @@ impl CoinSecretKey {
     /// Produces this party's share of the named coin.
     ///
     /// The `ĝ`-base exponentiations — one per component for the share
-    /// element, one for its proof commitment — are routed through
-    /// [`GroupElement::exp_many`], which packs them into the 4-lane
-    /// engine when that is profitable on the running hardware. Nonces
-    /// are drawn in component order first, so the share is bit-identical
-    /// to the per-component construction for a given RNG state.
+    /// element, one for its proof commitment — are computed up front.
+    /// Nonces are drawn in component order first, so the share is
+    /// bit-identical to the per-component construction for a given RNG
+    /// state.
     pub fn share(&self, name: &[u8], rng: &mut SeededRng) -> CoinShare {
         let g = GroupElement::generator();
         let g_hat = coin_base(name);
@@ -156,7 +155,7 @@ impl CoinSecretKey {
             exps.push(*x);
             exps.push(*w);
         }
-        let powers = g_hat.exp_many(&exps);
+        let powers: Vec<GroupElement> = exps.iter().map(|e| g_hat.exp(e)).collect();
         let elements = self
             .components
             .iter()

@@ -97,8 +97,7 @@ impl DleqProof {
 
     /// Completes a proof whose nonce `w` and commitments `g^w`, `h^w`
     /// the caller computed — batched share generation precomputes the
-    /// `h^w` exponentiations through
-    /// [`GroupElement::exp_many`](crate::group::GroupElement::exp_many).
+    /// `h^w` exponentiations.
     /// The challenge and response are derived exactly as in
     /// [`prove`](Self::prove), so the resulting proof is bit-identical
     /// given the same nonce.

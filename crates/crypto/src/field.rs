@@ -93,10 +93,6 @@ macro_rules! define_field {
             pub const ZERO: $name = $name(U256::ZERO);
             /// The multiplicative identity (Montgomery form of 1).
             pub const ONE: $name = $name($r1);
-            /// `-modulus^-1 mod 2^64`, the Montgomery reduction
-            /// constant — shared with the SIMD kernels.
-            #[allow(dead_code)]
-            pub(crate) const N0INV: u64 = $n0inv;
 
             /// The field modulus.
             pub fn modulus() -> U256 {
@@ -171,27 +167,6 @@ macro_rules! define_field {
             /// Field squaring.
             pub fn square(&self) -> Self {
                 self.mul(self)
-            }
-
-            /// Four independent field multiplications in one call,
-            /// lane-parallel on the 4-way SIMD Montgomery kernel when
-            /// it is active (`avx2` feature on supporting hardware),
-            /// four scalar multiplies otherwise. Always available; the
-            /// result is identical either way.
-            pub fn mul_x4(a: &[Self; 4], b: &[Self; 4]) -> [Self; 4] {
-                let r = crate::simd::mont_mul_x4(
-                    &[a[0].0, a[1].0, a[2].0, a[3].0],
-                    &[b[0].0, b[1].0, b[2].0, b[3].0],
-                    &$modulus,
-                    $n0inv,
-                );
-                [$name(r[0]), $name(r[1]), $name(r[2]), $name(r[3])]
-            }
-
-            /// Four independent squarings (lane-parallel like
-            /// [`mul_x4`](Self::mul_x4)).
-            pub fn square_x4(a: &[Self; 4]) -> [Self; 4] {
-                Self::mul_x4(a, a)
             }
 
             /// The precomputed inversion exponent `modulus - 2`.

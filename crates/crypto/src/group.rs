@@ -12,7 +12,6 @@
 
 use crate::field::{Fp, Scalar};
 use crate::hash::Hasher;
-use crate::simd::{LaneElem, QuadEngine};
 use crate::u256::U256;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,36 +23,11 @@ use std::sync::OnceLock;
 /// per-window bucket aggregation.
 const STRAUS_MAX_TERMS: usize = 320;
 
-/// Term count at which the Straus accumulator switches to the 4-lane
-/// SIMD engine (when AVX2 is compiled in and present). The lane-split
-/// accumulator packs digit multiplies four per vector op, but pays for
-/// it twice: the shared squaring chain becomes one *vector* op per bit
-/// (~2.8× a scalar squaring), and every packed multiply gathers four
-/// table entries from different lanes. Measured on the reference
-/// hardware with the short-exponent mix batch verification actually
-/// produces (64-bit weights, 192-bit weight·challenge products), the
-/// scalar accumulator wins at every term count up to the Pippenger
-/// crossover — so the lane-split path is not dispatched. It stays
-/// built, tested, and bit-identical to the scalar plan for hardware
-/// where the vector-to-scalar multiply ratio is wider (AVX-512 IFMA);
-/// [`GroupElement::exp4`], whose independent squaring chains pack
-/// perfectly, engages on such hardware through the engine's startup
-/// calibration.
-const STRAUS_SIMD_MIN_TERMS: usize = usize::MAX;
-
 /// Term count at which `multi_exp` first scans for repeated bases.
 /// Aggregated batch verification repeats the same fixed verification
 /// keys across quorums; merging those terms (adding exponents mod `q`)
 /// shrinks the multi-exponentiation before any window work happens.
 const MERGE_MIN_TERMS: usize = 8;
-
-/// The process-wide 4-lane Montgomery engine for `Fp`, shared by every
-/// SIMD-split multi-exponentiation (construction computes the domain
-/// constants, so it is done once).
-fn fp_quad_engine() -> &'static QuadEngine {
-    static ENGINE: OnceLock<QuadEngine> = OnceLock::new();
-    ENGINE.get_or_init(|| QuadEngine::new(&Fp::modulus(), Fp::N0INV))
-}
 
 /// An element of the order-`q` subgroup of `Z_p^*`.
 ///
@@ -164,80 +138,6 @@ impl GroupElement {
         }
     }
 
-    /// Four independent exponentiations of the same base in one pass of
-    /// the 4-lane Montgomery engine.
-    ///
-    /// This is the shape SIMD exponentiation actually wins at: the four
-    /// square-and-multiply chains are independent, so every vector
-    /// operation carries four live multiplications — unlike a shared
-    /// Straus chain, where the single squaring sequence is already
-    /// amortized and vectorizing it costs more than it saves. All four
-    /// lanes walk a fixed 4-bit window schedule against one shared
-    /// 16-entry table held in the engine's vector domain. Results are
-    /// bit-identical to four [`exp`](Self::exp) calls; when the engine's
-    /// startup calibration finds the vector kernel unprofitable (the
-    /// usual verdict on AVX2-only parts, whose 32×32 vector multiplies
-    /// tie the scalar 64×64 kernel at best) the call falls back to
-    /// exactly that.
-    pub fn exp4(&self, exponents: &[Scalar; 4]) -> [Self; 4] {
-        let engine = fp_quad_engine();
-        if !engine.simd() {
-            return core::array::from_fn(|i| self.exp(&exponents[i]));
-        }
-        for _ in 0..4 {
-            sintra_obs::global::crypto_exp();
-        }
-        self.exp4_with(exponents, engine)
-    }
-
-    /// The engine-parameterized body of [`exp4`](Self::exp4); the
-    /// engine's representation (vector or scalar fallback) decides how
-    /// each quad operation executes, so tests can force either mode.
-    fn exp4_with(&self, exponents: &[Scalar; 4], engine: &QuadEngine) -> [Self; 4] {
-        let mut powers = [Fp::ONE; 16];
-        powers[1] = self.0;
-        for i in 2..16 {
-            powers[i] = powers[i - 1].mul(&self.0);
-        }
-        let table: [LaneElem; 16] = core::array::from_fn(|i| engine.enter_lane(&powers[i].0));
-        let limbs: [[u64; 4]; 4] = core::array::from_fn(|l| exponents[l].to_u256().limbs());
-        let digit =
-            |l: usize, pos: usize| ((limbs[l][pos / 16] >> ((pos % 16) * 4)) & 0xf) as usize;
-        let Some(top) = (0..64).rev().find(|p| (0..4).any(|l| digit(l, *p) != 0)) else {
-            return [Self::identity(); 4];
-        };
-        let schedule: Vec<[u8; 4]> = (0..=top)
-            .rev()
-            .map(|pos| core::array::from_fn(|l| digit(l, pos) as u8))
-            .collect();
-        let lanes = engine.exit4(&engine.window_pow(&table, &schedule));
-        core::array::from_fn(|i| GroupElement(Fp(lanes[i])))
-    }
-
-    /// Exponentiates the same base by each scalar in `exponents`,
-    /// routing groups of lanes through [`exp4`](Self::exp4) when the
-    /// 4-lane engine is active and enough exponents remain to keep its
-    /// lanes busy (three live lanes is the measured break-even against
-    /// the scalar path). Bases with a process-wide fixed-base table
-    /// (`g`, `h`) keep using it — faster than any generic method.
-    pub fn exp_many(&self, exponents: &[Scalar]) -> Vec<Self> {
-        let engine = fp_quad_engine();
-        if !engine.simd() || self.process_table().is_some() {
-            return exponents.iter().map(|e| self.exp(e)).collect();
-        }
-        let mut out = Vec::with_capacity(exponents.len());
-        for chunk in exponents.chunks(4) {
-            if chunk.len() >= 3 {
-                let padded: [Scalar; 4] =
-                    core::array::from_fn(|i| *chunk.get(i).unwrap_or(&Scalar::ZERO));
-                out.extend_from_slice(&self.exp4(&padded)[..chunk.len()]);
-            } else {
-                out.extend(chunk.iter().map(|e| self.exp(e)));
-            }
-        }
-        out
-    }
-
     /// Computes `Π base_i^{e_i}` over all `(base_i, e_i)` pairs with a
     /// single shared squaring chain: Straus's interleaved method with
     /// 5-bit sliding windows for small and medium batches, Pippenger's
@@ -279,17 +179,7 @@ impl GroupElement {
             1 => terms[0].0.exp(&terms[0].1),
             k if k <= STRAUS_MAX_TERMS => {
                 sintra_obs::global::crypto_multi_exp();
-                let engine = fp_quad_engine();
-                // The threshold is usize::MAX while the lane-split path is
-                // benched off (see the constant's doc), which makes this
-                // comparison degenerate by design.
-                #[allow(clippy::absurd_extreme_comparisons)]
-                let lane_split = k >= STRAUS_SIMD_MIN_TERMS && engine.simd();
-                if lane_split {
-                    Self::straus_simd(terms, engine)
-                } else {
-                    Self::straus(terms)
-                }
+                Self::straus(terms)
             }
             _ => {
                 sintra_obs::global::crypto_multi_exp();
@@ -337,85 +227,6 @@ impl GroupElement {
             }
         }
         GroupElement(acc)
-    }
-
-    /// Straus's method on the 4-lane SIMD engine: the same window plan
-    /// as [`straus`](Self::straus), with
-    ///
-    /// * odd-power tables built four terms at a time in lockstep
-    ///   (independent chains, perfect lane packing), stored in the
-    ///   engine's vector domain so digit multiplies need no conversion;
-    /// * **four** accumulator lanes sharing one vector squaring chain —
-    ///   any digit event may enter any lane (the final result is the
-    ///   product of all lanes), so up to four same-position events
-    ///   collapse into one vector multiply, idle lanes padded with the
-    ///   in-domain identity.
-    ///
-    /// The result is bit-identical to the scalar path: the engine exits
-    /// to canonical standard-form residues and the lane product uses
-    /// the ordinary field multiply.
-    fn straus_simd(terms: &[(GroupElement, Scalar)], engine: &QuadEngine) -> Self {
-        let plan = StrausPlan::new(terms);
-        let one = engine.one_lane();
-        let mut flat: Vec<LaneElem> = vec![one.clone(); plan.flat_len];
-        // Group terms by window width so lockstep chains have uniform
-        // length; each chunk of four same-width tables shares its
-        // squaring and power chain.
-        for w in 1..=5u8 {
-            let idxs: Vec<usize> = (0..terms.len()).filter(|&i| plan.windows[i] == w).collect();
-            for chunk in idxs.chunks(4) {
-                let bases: [U256; 4] = core::array::from_fn(|k| {
-                    // Duplicate the first base into empty lanes; their
-                    // outputs are simply never read.
-                    (terms[*chunk.get(k).unwrap_or(&chunk[0])].0).0 .0
-                });
-                let base_q = engine.enter4(&bases);
-                let write = |flat: &mut Vec<LaneElem>, entry: usize, q: &crate::simd::QuadElem| {
-                    let lanes = engine.split(q);
-                    for (k, &ti) in chunk.iter().enumerate() {
-                        flat[plan.rows[ti] as usize + entry] = lanes[k].clone();
-                    }
-                };
-                write(&mut flat, 0, &base_q);
-                if w > 1 {
-                    let sq = engine.square(&base_q);
-                    let mut power = base_q;
-                    for entry in 1..(1usize << (w - 1)) {
-                        engine.mul_assign(&mut power, &sq);
-                        write(&mut flat, entry, &power);
-                    }
-                }
-            }
-        }
-        let mut acc = engine.gather([&one, &one, &one, &one]);
-        let mut started = false;
-        let mut next_event = 0usize;
-        for pos in (0..256usize).rev() {
-            if started {
-                engine.square_assign(&mut acc);
-            }
-            let mut remaining = plan.count[pos] as usize;
-            while remaining > 0 {
-                let take = remaining.min(4);
-                let op = engine.gather(core::array::from_fn(|k| {
-                    if k < take {
-                        &flat[plan.sorted[next_event + k] as usize]
-                    } else {
-                        &one
-                    }
-                }));
-                engine.mul_assign(&mut acc, &op);
-                next_event += take;
-                remaining -= take;
-                started = true;
-            }
-        }
-        let lanes = engine.exit4(&acc);
-        let folded = Fp(lanes[0])
-            .mul(&Fp(lanes[1]))
-            .mul(&Fp(lanes[2]))
-            .mul(&Fp(lanes[3]));
-        GroupElement(folded)
     }
 
     /// Pippenger's bucket method with 6-bit windows: per window, each
@@ -496,16 +307,12 @@ impl GroupElement {
     }
 }
 
-/// The shared digit plan for a Straus multi-exponentiation: per-term
-/// window widths and packed-table row offsets, plus every
-/// sliding-window digit event counting-sorted by descending bit
-/// position. Both the scalar and the SIMD accumulator walk the same
-/// plan, which is what keeps their results bit-identical.
+/// The digit plan for a Straus multi-exponentiation: per-term window
+/// widths, plus every sliding-window digit event counting-sorted by
+/// descending bit position.
 struct StrausPlan {
     /// Window width per term (1–5 bits by exponent size).
     windows: Vec<u8>,
-    /// First packed-table index of each term's odd-power table.
-    rows: Vec<u16>,
     /// Total packed-table entries across all terms.
     flat_len: usize,
     /// Digit events per bit position.
@@ -517,7 +324,6 @@ struct StrausPlan {
 impl StrausPlan {
     fn new(terms: &[(GroupElement, Scalar)]) -> Self {
         let mut windows = Vec::with_capacity(terms.len());
-        let mut rows = Vec::with_capacity(terms.len());
         let mut flat_len = 0usize;
         // One event per sliding-window digit: `(low bit position,
         // packed-table index of the power to multiply in)`. 4 bytes
@@ -542,7 +348,6 @@ impl StrausPlan {
             };
             let row = flat_len as u16;
             windows.push(w as u8);
-            rows.push(row);
             flat_len += 1usize << (w - 1);
             let limbs = e.limbs();
             let mut j = 0usize;
@@ -589,7 +394,6 @@ impl StrausPlan {
         }
         StrausPlan {
             windows,
-            rows,
             flat_len,
             count,
             sorted,
@@ -988,177 +792,6 @@ mod tests {
                 acc.mul(&naive_exp(b, e))
             });
             assert_eq!(GroupElement::multi_exp(&terms), expected, "k = {k}");
-        }
-    }
-
-    /// Four independent same-base chains must agree with scalar `exp`
-    /// bit-for-bit in both engine modes, including degenerate exponents.
-    #[test]
-    fn exp4_matches_scalar_exp() {
-        let mut next = test_rng(0xe4e4);
-        let base = GroupElement::hash_to_group("test/e4", b"base");
-        let cases: [[Scalar; 4]; 3] = [
-            core::array::from_fn(|_| random_scalar(&mut next)),
-            [
-                Scalar::ZERO,
-                Scalar::ONE,
-                Scalar::from_u64(next()),
-                -Scalar::ONE,
-            ],
-            [Scalar::ZERO, Scalar::ZERO, Scalar::ZERO, Scalar::ZERO],
-        ];
-        for engine in [Some(QuadEngine::forced_scalar(&Fp::modulus(), Fp::N0INV))]
-            .into_iter()
-            .chain([QuadEngine::forced_vector(&Fp::modulus(), Fp::N0INV)])
-            .flatten()
-        {
-            for exps in &cases {
-                let got = base.exp4_with(exps, &engine);
-                for l in 0..4 {
-                    assert_eq!(
-                        got[l],
-                        base.exp(&exps[l]),
-                        "lane {l}, simd = {}",
-                        engine.simd()
-                    );
-                }
-            }
-        }
-        // The public wrapper (whatever hardware dispatch it takes).
-        let exps: [Scalar; 4] = core::array::from_fn(|_| random_scalar(&mut next));
-        let got = base.exp4(&exps);
-        for l in 0..4 {
-            assert_eq!(got[l], base.exp(&exps[l]));
-        }
-    }
-
-    #[test]
-    fn exp_many_matches_scalar_exp() {
-        let mut next = test_rng(0xe512);
-        for base in [
-            GroupElement::hash_to_group("test/em", b"base"),
-            GroupElement::generator(),
-        ] {
-            for len in [0usize, 1, 2, 3, 4, 5, 7, 9] {
-                let exps: Vec<Scalar> = (0..len).map(|_| random_scalar(&mut next)).collect();
-                let got = base.exp_many(&exps);
-                let want: Vec<GroupElement> = exps.iter().map(|e| base.exp(e)).collect();
-                assert_eq!(got, want, "len = {len}");
-            }
-        }
-    }
-
-    /// Timing probe for `exp4`; run manually with
-    /// `cargo test --release --features avx2 -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn exp4_timing_probe() {
-        let mut next = test_rng(0xe4aa);
-        let base = GroupElement::hash_to_group("probe/e4", b"base");
-        let exps: [Scalar; 4] = core::array::from_fn(|_| random_scalar(&mut next));
-        let time = |f: &dyn Fn() -> [GroupElement; 4]| {
-            let reps = 200;
-            let mut best = u128::MAX;
-            for _ in 0..5 {
-                let t0 = std::time::Instant::now();
-                for _ in 0..reps {
-                    std::hint::black_box(f());
-                }
-                best = best.min(t0.elapsed().as_nanos() / reps);
-            }
-            best
-        };
-        let Some(engine) = QuadEngine::forced_vector(&Fp::modulus(), Fp::N0INV) else {
-            println!("exp4: no AVX2, nothing to probe");
-            return;
-        };
-        let scalar_ns = time(&|| core::array::from_fn(|i| base.exp(&exps[i])));
-        let simd_ns = time(&|| base.exp4_with(&exps, &engine));
-        println!(
-            "exp4: scalar={scalar_ns}ns/4  simd={simd_ns}ns/4  ratio={:.2}x",
-            scalar_ns as f64 / simd_ns as f64
-        );
-    }
-
-    /// Timing probe for the SIMD dispatch threshold; run manually with
-    /// `cargo test --release --features avx2 -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn straus_simd_timing_probe() {
-        let mut next = test_rng(0xbea7);
-        let Some(engine) = QuadEngine::forced_vector(&Fp::modulus(), Fp::N0INV) else {
-            println!("straus_simd: no AVX2, nothing to probe");
-            return;
-        };
-        for k in [42usize, 48, 64, 96, 160, 260, 320] {
-            let terms: Vec<(GroupElement, Scalar)> = (0..k)
-                .map(|i| {
-                    let base = GroupElement::hash_to_group("probe", &(i as u64).to_be_bytes());
-                    // Mirror the exponent mix of a grouped DLEQ batch:
-                    // 64-bit weights, 192-bit weight·challenge products,
-                    // and the occasional full-width merged exponent.
-                    let e = if i % 13 == 12 {
-                        random_scalar(&mut next)
-                    } else if i % 2 == 0 {
-                        Scalar::from_u64(next())
-                    } else {
-                        Scalar::from_u256(&U256::from_limbs([next(), next(), next(), 0]))
-                    };
-                    (base, e)
-                })
-                .collect();
-            let time = |f: &dyn Fn() -> GroupElement| {
-                let reps = 20;
-                let mut best = u128::MAX;
-                for _ in 0..5 {
-                    let t0 = std::time::Instant::now();
-                    for _ in 0..reps {
-                        std::hint::black_box(f());
-                    }
-                    best = best.min(t0.elapsed().as_nanos() / reps);
-                }
-                best
-            };
-            let scalar_ns = time(&|| GroupElement::straus(&terms));
-            let simd_ns = time(&|| GroupElement::straus_simd(&terms, &engine));
-            println!(
-                "k={k:4}  scalar={scalar_ns:8}ns  simd={simd_ns:8}ns  ratio={:.2}x",
-                scalar_ns as f64 / simd_ns as f64
-            );
-        }
-    }
-
-    /// The SIMD-split Straus accumulator is bit-identical to the scalar
-    /// one on the same plan — checked on both quad-engine modes so the
-    /// test is meaningful even without AVX2 hardware.
-    #[test]
-    fn straus_simd_matches_scalar_straus() {
-        let mut next = test_rng(0xd1ce);
-        for k in [48usize, 63, 100] {
-            let terms: Vec<(GroupElement, Scalar)> = (0..k)
-                .map(|i| {
-                    let base = GroupElement::hash_to_group("test/ss", &(i as u64).to_be_bytes());
-                    let e = match i % 3 {
-                        0 => random_scalar(&mut next),
-                        1 => Scalar::from_u256(&U256::from_limbs([next(), next(), 0, 0])),
-                        _ => Scalar::from_u64(next() & 0xffff),
-                    };
-                    (base, e)
-                })
-                .collect();
-            let want = GroupElement::straus(&terms);
-            for engine in [Some(QuadEngine::forced_scalar(&Fp::modulus(), Fp::N0INV))]
-                .into_iter()
-                .chain([QuadEngine::forced_vector(&Fp::modulus(), Fp::N0INV)])
-                .flatten()
-            {
-                assert_eq!(
-                    GroupElement::straus_simd(&terms, &engine),
-                    want,
-                    "k = {k}, simd = {}",
-                    engine.simd()
-                );
-            }
         }
     }
 

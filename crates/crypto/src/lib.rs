@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # sintra-crypto
 //!
 //! Threshold-cryptography substrate for **SINTRA-RS**, a reproduction of
@@ -49,7 +50,6 @@ pub mod lsss;
 pub mod rng;
 pub mod schnorr;
 pub mod shamir;
-pub mod simd;
 pub mod tenc;
 pub mod tsig;
 pub mod u256;

@@ -1,15 +1,13 @@
 //! Golden transcript tests: byte-exact protocol outputs pinned from a
 //! fixed seed.
 //!
-//! The crypto engine promises that every execution mode — scalar
-//! sliding-window, fixed-base tables at any budgeted width, and the
-//! 4-lane SIMD kernels behind the `avx2` feature — produces
-//! *bit-identical* group elements, proofs, and signatures. The unit
-//! tests check the modes against each other on whatever hardware runs
-//! them; these tests pin the actual bytes, so a scalar-only CI runner
-//! and an AVX2 machine both compare against the same constants and any
-//! cross-mode divergence (or accidental transcript format change —
-//! challenge width, hash domain, serialization order) fails loudly.
+//! The crypto engine promises that every execution mode — sliding-window
+//! and multi-exponentiation, fixed-base tables at any budgeted width —
+//! produces *bit-identical* group elements, proofs, and signatures. The
+//! unit tests check the modes against each other; these tests pin the
+//! actual bytes, so any cross-mode divergence (or accidental transcript
+//! format change — challenge width, hash domain, serialization order)
+//! fails loudly.
 //!
 //! If a test here fails after an *intentional* transcript change
 //! (e.g. a new Fiat-Shamir challenge width), regenerate the constants
@@ -27,7 +25,7 @@ fn hex(bytes: &[u8]) -> String {
 
 /// Coin transcript: one share's full wire encoding (elements + DLEQ
 /// proofs, so this pins the 128-bit challenge derivation and the
-/// exp_many share path) and the combined coin value.
+/// share path) and the combined coin value.
 #[test]
 fn coin_share_and_value_bytes_are_pinned() {
     let ts = TrustStructure::threshold(4, 1).expect("valid structure");

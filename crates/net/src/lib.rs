@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! # sintra-net
 //!
 //! Asynchronous-network substrate for **SINTRA-RS** (Cachin,

@@ -61,6 +61,14 @@ mod nr {
 
 /// Invokes a Linux syscall with up to six arguments. Returns the raw
 /// kernel result: `>= 0` success, `-errno` failure.
+///
+/// # Safety
+///
+/// `n` must be a syscall number from [`nr`], and every argument must
+/// be what that syscall expects: a file descriptor must be open for
+/// the duration of the call, and a pointer must be valid for the reads
+/// or writes the kernel makes through it, for the length passed with
+/// it. Unused trailing arguments are 0.
 #[cfg(target_arch = "x86_64")]
 unsafe fn syscall6(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
     let ret: isize;
@@ -82,6 +90,14 @@ unsafe fn syscall6(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f
 
 /// Invokes a Linux syscall with up to six arguments. Returns the raw
 /// kernel result: `>= 0` success, `-errno` failure.
+///
+/// # Safety
+///
+/// `n` must be a syscall number from [`nr`], and every argument must
+/// be what that syscall expects: a file descriptor must be open for
+/// the duration of the call, and a pointer must be valid for the reads
+/// or writes the kernel makes through it, for the length passed with
+/// it. Unused trailing arguments are 0.
 #[cfg(target_arch = "aarch64")]
 unsafe fn syscall6(n: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
     let ret: isize;
@@ -151,14 +167,23 @@ pub struct Epoll {
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: `epoll_create1` takes only a flag word and no pointer;
+        // a negative (`-errno`) result becomes an error in `check`.
         let fd = check(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
         Ok(Epoll {
+            // SAFETY: `fd` was just returned by a successful syscall that
+            // creates a descriptor, so it is open and nothing else owns
+            // it; the `OwnedFd` becomes its only owner and closes it once.
             fd: unsafe { OwnedFd::from_raw_fd(fd as RawFd) },
         })
     }
 
     fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         let ev = EpollEvent { events, token };
+        // SAFETY: `self.fd` is the epoll fd this value owns, and `fd` is
+        // open for the call (the callers hold a `BorrowedFd`). `ev` is a
+        // live local in the kernel's `struct epoll_event` layout, which
+        // the kernel only reads during the call.
         check(unsafe {
             syscall6(
                 nr::EPOLL_CTL,
@@ -194,6 +219,10 @@ impl Epoll {
     /// return is a timeout; `EINTR` is retried internally.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         loop {
+            // SAFETY: `self.fd` is the epoll fd this value owns. The
+            // pointer and length come from one live `&mut` slice of
+            // `EpollEvent`s in the kernel's layout, and the kernel writes
+            // at most `events.len()` records into it.
             #[cfg(target_arch = "x86_64")]
             let ret = unsafe {
                 syscall6(
@@ -206,6 +235,8 @@ impl Epoll {
                     0,
                 )
             };
+            // SAFETY: as above; the sigmask pointer is null, so the
+            // kernel reads no mask.
             #[cfg(target_arch = "aarch64")]
             let ret = unsafe {
                 syscall6(
@@ -245,9 +276,15 @@ pub struct EventFd {
 impl EventFd {
     /// Creates a nonblocking, close-on-exec eventfd with counter 0.
     pub fn new() -> io::Result<EventFd> {
+        // SAFETY: `eventfd2` takes an initial count and a flag word and
+        // no pointer; a negative (`-errno`) result becomes an error in
+        // `check`.
         let fd =
             check(unsafe { syscall6(nr::EVENTFD2, 0, EFD_NONBLOCK | EFD_CLOEXEC, 0, 0, 0, 0) })?;
         Ok(EventFd {
+            // SAFETY: `fd` was just returned by a successful syscall that
+            // creates a descriptor, so it is open and nothing else owns
+            // it; the `OwnedFd` becomes its only owner and closes it once.
             fd: unsafe { OwnedFd::from_raw_fd(fd as RawFd) },
         })
     }
@@ -262,6 +299,10 @@ impl EventFd {
     /// readable, so the wakeup is never lost.
     pub fn ring(&self) {
         let one: u64 = 1;
+        // SAFETY: `self.fd` is the eventfd this value owns. The buffer is
+        // the live 8-byte local `one`, and the length passed is 8, so
+        // the kernel reads exactly that local. Errors are ignored on
+        // purpose (see above).
         let _ = check(unsafe {
             syscall6(
                 nr::WRITE,
@@ -278,6 +319,10 @@ impl EventFd {
     /// Resets the counter to 0 (clears readability).
     pub fn drain(&self) {
         let mut buf = 0u64;
+        // SAFETY: `self.fd` is the eventfd this value owns. The buffer is
+        // the live 8-byte local `buf`, and the length passed is 8, so
+        // the kernel writes at most that local. `EAGAIN` (counter
+        // already 0) is the only expected error and needs no action.
         let _ = check(unsafe {
             syscall6(
                 nr::READ,
@@ -344,6 +389,8 @@ pub enum ConnectStart {
 /// blocking-dial hang.
 pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<ConnectStart> {
     let (raw_addr, family) = encode_sockaddr(addr);
+    // SAFETY: `socket` takes a family, a type word and a protocol and no
+    // pointer; a negative (`-errno`) result becomes an error in `check`.
     let fd = check(unsafe {
         syscall6(
             nr::SOCKET,
@@ -355,7 +402,13 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<ConnectStart> {
             0,
         )
     })?;
+    // SAFETY: `fd` was just returned by a successful `socket`, so it is
+    // open and nothing else owns it; the `OwnedFd` becomes its only
+    // owner and closes it once, also on the error paths below.
     let fd = unsafe { OwnedFd::from_raw_fd(fd as RawFd) };
+    // SAFETY: `fd` is the socket owned above. The address pointer and
+    // length come from `raw_addr`, a live buffer in the kernel's
+    // `sockaddr_in`/`sockaddr_in6` layout, which the kernel only reads.
     let ret = check(unsafe {
         syscall6(
             nr::CONNECT,
@@ -380,6 +433,10 @@ pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<ConnectStart> {
 pub fn take_socket_error(fd: BorrowedFd<'_>) -> io::Result<()> {
     let mut err: i32 = 0;
     let mut len: u32 = 4;
+    // SAFETY: `fd` is open for the call (a `BorrowedFd`). The option
+    // buffer is the live 4-byte local `err`, and `len` is a live local
+    // holding 4, so the kernel writes at most 4 bytes into `err` and
+    // the result length into `len`.
     check(unsafe {
         syscall6(
             nr::GETSOCKOPT,

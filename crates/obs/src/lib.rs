@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # sintra-obs — observability substrate for SINTRA-RS
 //!
 //! Structured protocol events, a lock-free bounded flight recorder,

@@ -37,14 +37,13 @@
 //! exactly the retrieval-liveness argument of the multi-valued protocol.
 
 use crate::common::{BatchedShares, Outbox, Tag, WireKind};
-use crate::pool::{Verdict, VerdictChannel, VerifyPool};
 use serde::{Deserialize, Serialize};
 use sintra_adversary::party::{PartyId, PartySet};
 use sintra_crypto::coin::{CoinShare, CoinValue};
 use sintra_crypto::dealer::{PublicParameters, ServerKeyBundle};
 use sintra_crypto::rng::SeededRng;
 use sintra_crypto::tsig::{QuorumRule, SignatureShare, ThresholdSignature};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A main-vote value.
@@ -204,14 +203,6 @@ struct RoundState<E> {
 /// is a flooding attempt and is dropped.
 const PENDING_JUST_CAP: usize = 4;
 
-// Batch kinds for verify-pool verdict keys: which of a round's share
-// trackers a pooled verification job settles.
-const BATCH_PRE0: u8 = 0;
-const BATCH_PRE1: u8 = 1;
-const BATCH_MAIN0: u8 = 2;
-const BATCH_MAIN2: u8 = 4;
-const BATCH_COIN: u8 = 5;
-
 impl<E> Default for RoundState<E> {
     fn default() -> Self {
         RoundState {
@@ -280,13 +271,6 @@ pub struct Abba<E = ()> {
     decided: Option<bool>,
     decision_sent: bool,
     rounds: BTreeMap<u64, RoundState<E>>,
-    /// Optional off-thread verification pool (`None` = verify inline at
-    /// quorum time, the pre-pool behavior).
-    pool: Option<Arc<VerifyPool>>,
-    /// Ordered verdict stream for pooled verification jobs.
-    verdicts: VerdictChannel<(u64, u8)>,
-    /// Batches currently in flight on the pool, keyed `(round, kind)`.
-    awaiting: BTreeSet<(u64, u8)>,
     /// Instance-wide culprit cache: every party attributed by any batch
     /// settlement in any round. New rounds seed their trackers from this
     /// set, so a spamming Byzantine sender costs O(1) rejection per
@@ -347,9 +331,6 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
             decided: None,
             decision_sent: false,
             rounds: BTreeMap::new(),
-            pool: None,
-            verdicts: VerdictChannel::new(),
-            awaiting: BTreeSet::new(),
             instance_banned: PartySet::new(),
         }
     }
@@ -625,12 +606,6 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
         rng: &mut SeededRng,
         out: &mut Outbox<AbbaMessage<E>>,
     ) -> Option<bool> {
-        // Verdicts may have landed since the last tick; apply them first
-        // so a batch completed between ticks never stalls the round until
-        // the next timer fires.
-        if let Some(d) = self.drain_verifications(rng, out) {
-            return Some(d);
-        }
         if self.decided.is_some() {
             // Halted; decision proof was already broadcast.
             return None;
@@ -727,15 +702,6 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
         if rs.coin_value.is_some() || !structure.is_qualified(&rs.coin.holders()) {
             return None;
         }
-        if self.pool.is_some() {
-            // Ship the pending proofs off-thread and park; the combine
-            // re-fires from `drain_verifications` once the verdict lands.
-            self.submit_coin_batch(round, rng);
-            if self.awaiting.contains(&(round, BATCH_COIN)) {
-                return None;
-            }
-        }
-        let rs = self.round_state(round);
         let caught = rs
             .coin
             .settle(|batch| public.coin().verify_shares(&name, batch, rng));
@@ -843,23 +809,6 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
         // signature shares (one multi-exp per value class), cull any
         // culprits, and only proceed if the survivors still form a core.
         let msgs = [self.pre_msg(round, false), self.pre_msg(round, true)];
-        if self.pool.is_some() {
-            // Ship each value class off-thread and park; the quorum
-            // re-fires from `drain_verifications` once verdicts land.
-            for (idx, msg) in msgs.iter().enumerate() {
-                let snapshot: Vec<(PartyId, SignatureShare)> = self.rounds[&round].prevotes[idx]
-                    .pending_snapshot()
-                    .into_iter()
-                    .map(|(p, pv)| (p, pv.share))
-                    .collect();
-                self.submit_sig_batch((round, BATCH_PRE0 + idx as u8), msg.clone(), snapshot, rng);
-            }
-            if self.awaiting.contains(&(round, BATCH_PRE0))
-                || self.awaiting.contains(&(round, BATCH_PRE1))
-            {
-                return None;
-            }
-        }
         let public = Arc::clone(&self.public);
         let rs = self.rounds.get_mut(&round).unwrap();
         let mut caught = Vec::new();
@@ -973,15 +922,6 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
             self.main_msg(round, MainVoteValue::One),
             self.main_msg(round, MainVoteValue::Abstain),
         ];
-        if self.pool.is_some() {
-            for (idx, msg) in msgs.iter().enumerate() {
-                let snapshot = self.rounds[&round].mainvotes[idx].pending_snapshot();
-                self.submit_sig_batch((round, BATCH_MAIN0 + idx as u8), msg.clone(), snapshot, rng);
-            }
-            if (0..3).any(|idx| self.awaiting.contains(&(round, BATCH_MAIN0 + idx as u8))) {
-                return None;
-            }
-        }
         let public = Arc::clone(&self.public);
         let rs = self.rounds.get_mut(&round).unwrap();
         let mut caught = Vec::new();
@@ -1053,14 +993,6 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
         None
     }
 
-    /// Attaches a verification pool: quorum-time share batches are then
-    /// verified off the protocol thread and their verdicts re-enter
-    /// through [`drain_verifications`](Self::drain_verifications), which
-    /// runs on every message entry and on the owner's tick.
-    pub fn set_verify_pool(&mut self, pool: Arc<VerifyPool>) {
-        self.pool = Some(pool);
-    }
-
     /// The round's state, created on first touch with the instance-wide
     /// culprit set pre-seeded into every share tracker.
     fn round_state(&mut self, round: u64) -> &mut RoundState<E> {
@@ -1091,137 +1023,6 @@ impl<E: Clone + core::fmt::Debug> Abba<E> {
             }
             rs.coin.ban(culprit);
         }
-    }
-
-    /// Submits the round's pending coin shares to the verify pool
-    /// (no-op when the batch is already in flight or nothing is pending).
-    fn submit_coin_batch(&mut self, round: u64, rng: &mut SeededRng) {
-        let key = (round, BATCH_COIN);
-        if self.awaiting.contains(&key) {
-            return;
-        }
-        let Some(pool) = self.pool.clone() else {
-            return;
-        };
-        let Some(rs) = self.rounds.get(&round) else {
-            return;
-        };
-        let snapshot = rs.coin.pending_snapshot();
-        if snapshot.is_empty() {
-            return;
-        }
-        let name = self.coin_name(round);
-        let parties: Vec<PartyId> = snapshot.iter().map(|(p, _)| *p).collect();
-        let shares: Vec<CoinShare> = snapshot.into_iter().map(|(_, s)| s).collect();
-        let public = Arc::clone(&self.public);
-        let seed = rng.next_u64();
-        let sender = self.verdicts.sender();
-        self.awaiting.insert(key);
-        pool.submit(Box::new(move || {
-            let culprits = public
-                .coin()
-                .verify_shares(&name, &shares, &mut SeededRng::new(seed))
-                .err()
-                .unwrap_or_default();
-            sender.send(Verdict {
-                key,
-                parties,
-                culprits,
-            });
-        }));
-    }
-
-    /// Submits one vote class's pending signature shares to the verify
-    /// pool (no-op when in flight or empty).
-    fn submit_sig_batch(
-        &mut self,
-        key: (u64, u8),
-        msg: Vec<u8>,
-        snapshot: Vec<(PartyId, SignatureShare)>,
-        rng: &mut SeededRng,
-    ) {
-        if snapshot.is_empty() || self.awaiting.contains(&key) {
-            return;
-        }
-        let Some(pool) = self.pool.clone() else {
-            return;
-        };
-        let parties: Vec<PartyId> = snapshot.iter().map(|(p, _)| *p).collect();
-        let shares: Vec<SignatureShare> = snapshot.into_iter().map(|(_, s)| s).collect();
-        let public = Arc::clone(&self.public);
-        let seed = rng.next_u64();
-        let sender = self.verdicts.sender();
-        self.awaiting.insert(key);
-        pool.submit(Box::new(move || {
-            let culprits = public
-                .signing()
-                .verify_shares(&msg, &shares, &mut SeededRng::new(seed))
-                .err()
-                .unwrap_or_default();
-            sender.send(Verdict {
-                key,
-                parties,
-                culprits,
-            });
-        }));
-    }
-
-    /// Applies any verdicts delivered by the pool and resumes the quorum
-    /// transitions that parked on them. Returns the decision if one
-    /// fires. Safe to call at any time; cheap when nothing is in flight.
-    pub fn drain_verifications(
-        &mut self,
-        rng: &mut SeededRng,
-        out: &mut Outbox<AbbaMessage<E>>,
-    ) -> Option<bool> {
-        let verdicts = self.verdicts.drain();
-        if verdicts.is_empty() {
-            return None;
-        }
-        let mut caught = Vec::new();
-        let mut coin_rounds = Vec::new();
-        for v in verdicts {
-            let (round, kind) = v.key;
-            self.awaiting.remove(&v.key);
-            caught.extend_from_slice(&v.culprits);
-            let Some(rs) = self.rounds.get_mut(&round) else {
-                continue;
-            };
-            match kind {
-                BATCH_PRE0 | BATCH_PRE1 => {
-                    let idx = (kind - BATCH_PRE0) as usize;
-                    rs.prevotes[idx].apply_verdict(&v.parties, &v.culprits);
-                    for &c in &v.culprits {
-                        rs.prevote_parties.remove(c);
-                        rs.prevote_by_value[idx].remove(c);
-                    }
-                }
-                BATCH_MAIN0..=BATCH_MAIN2 => {
-                    let idx = (kind - BATCH_MAIN0) as usize;
-                    rs.mainvotes[idx].apply_verdict(&v.parties, &v.culprits);
-                    for &c in &v.culprits {
-                        rs.mainvote_parties.remove(c);
-                        rs.mainvote_by_value[idx].remove(c);
-                    }
-                }
-                _ => {
-                    rs.coin.apply_verdict(&v.parties, &v.culprits);
-                    coin_rounds.push(round);
-                }
-            }
-        }
-        for culprit in caught {
-            self.ban_party(culprit);
-        }
-        if !self.started || self.decided.is_some() {
-            return None;
-        }
-        for round in coin_rounds {
-            if let Some(d) = self.try_coin(round, rng, out) {
-                return Some(d);
-            }
-        }
-        self.progress(rng, out)
     }
 
     fn decide(
@@ -1415,88 +1216,6 @@ mod tests {
         }
         sim.run_until_quiet(5_000_000);
         check_agreement(&sim, &[0, 1, 2, 3, 4]);
-    }
-
-    /// Regression test for the verify-pool stall: with threaded workers
-    /// attached, a quorum must complete from message deliveries alone.
-    /// Verdicts are drained at `on_message` entry, so no tick is ever
-    /// required. Before that entry drain existed, parked share batches
-    /// only resumed on the owner's tick, and this hand-driven
-    /// (tick-free) exchange never decided.
-    #[test]
-    fn pooled_quorum_completes_without_ticks() {
-        let mut nodes = nodes(4, 1, 77);
-        let pool = VerifyPool::new(2);
-        for node in &mut nodes {
-            node.abba.set_verify_pool(Arc::clone(&pool));
-        }
-        let mut inboxes: Vec<Vec<(PartyId, Msg)>> = vec![Vec::new(); 4];
-        let mut decisions: Vec<Option<bool>> = vec![None; 4];
-        // Mixed inputs force at least one coin flip, i.e. at least one
-        // pooled batch parks every node.
-        for (p, node) in nodes.iter_mut().enumerate() {
-            let mut out = Outbox::new(4);
-            if let Some(d) = node.abba.propose(p % 2 == 0, &mut node.rng, &mut out) {
-                decisions[p] = Some(d);
-            }
-            for (to, m) in out {
-                inboxes[to].push((p, m));
-            }
-        }
-        // A replayable duplicate per node: re-delivering it is a no-op
-        // for the protocol state machine, but it still enters
-        // `on_message`, which is where parked verdicts must be drained.
-        let mut replay: Vec<Option<(PartyId, Msg)>> = vec![None; 4];
-        let deliver = |nodes: &mut Vec<AbbaNode>,
-                       inboxes: &mut Vec<Vec<(PartyId, Msg)>>,
-                       decisions: &mut Vec<Option<bool>>,
-                       p: usize,
-                       from: PartyId,
-                       m: Msg| {
-            let mut out = Outbox::new(4);
-            let node = &mut nodes[p];
-            if let Some(d) = node.abba.on_message(from, m, &mut node.rng, &mut out) {
-                decisions[p].get_or_insert(d);
-            }
-            for (to, m) in out {
-                inboxes[to].push((p, m));
-            }
-        };
-        for _ in 0..20_000 {
-            if decisions.iter().all(|d| d.is_some()) {
-                break;
-            }
-            let mut delivered = false;
-            for p in 0..4 {
-                for (from, m) in std::mem::take(&mut inboxes[p]) {
-                    delivered = true;
-                    replay[p] = Some((from, m.clone()));
-                    deliver(&mut nodes, &mut inboxes, &mut decisions, p, from, m);
-                }
-            }
-            if !delivered {
-                // Quiescent while verdicts are in flight: give the
-                // workers a moment, then poke each undecided node with
-                // a duplicate so its entry drain runs.
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                for p in 0..4 {
-                    if decisions[p].is_some() {
-                        continue;
-                    }
-                    if let Some((from, m)) = replay[p].clone() {
-                        deliver(&mut nodes, &mut inboxes, &mut decisions, p, from, m);
-                    }
-                }
-            }
-        }
-        let values: Vec<bool> = decisions
-            .iter()
-            .map(|d| d.expect("every node must decide without a single tick"))
-            .collect();
-        assert!(
-            values.windows(2).all(|w| w[0] == w[1]),
-            "agreement: {values:?}"
-        );
     }
 
     /// Runs four nodes on all-1 inputs under a FIFO queue, delivering the

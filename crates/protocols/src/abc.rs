@@ -287,9 +287,6 @@ pub struct AtomicBroadcast {
     proposed_cover: BTreeMap<u64, usize>,
     /// Entry count of the most recently proposed batch (gauge).
     last_batch_size: u64,
-    /// Off-thread share-verification pool, handed down to each
-    /// per-round MVBA instance. `None` verifies inline (seed behavior).
-    verify_pool: Option<Arc<VerifyPool>>,
 }
 
 impl core::fmt::Debug for AtomicBroadcast {
@@ -341,7 +338,6 @@ impl AtomicBroadcast {
             pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             proposed_cover: BTreeMap::new(),
             last_batch_size: 0,
-            verify_pool: None,
         }
     }
 
@@ -511,24 +507,10 @@ impl AtomicBroadcast {
         self.last_batch_size
     }
 
-    /// Routes share-batch verification of every (current and future)
-    /// round's MVBA — and its CBC/ABBA children — through `pool`. With a
-    /// threaded pool, verdicts are applied on every
-    /// [`on_message`](Self::on_message) entry and on
-    /// [`on_tick`](Self::on_tick), so progress never waits for a timer;
-    /// a 0-worker pool verifies inline.
-    pub fn set_verify_pool(&mut self, pool: Arc<VerifyPool>) {
-        for mvba in self.mvbas.values_mut() {
-            if !mvba.has_verify_pool() {
-                mvba.set_verify_pool(Arc::clone(&pool));
-            }
-        }
-        self.verify_pool = Some(pool);
-    }
-
-    /// The attached verification pool, if any.
-    pub fn verify_pool(&self) -> Option<&Arc<VerifyPool>> {
-        self.verify_pool.as_ref()
+    /// Always `None`: shares are verified inline. Kept only for the
+    /// `benchmark/` package, which still reads it (see [`crate::pool`]).
+    pub fn verify_pool(&self) -> Option<&VerifyPool> {
+        None
     }
 
     fn queued_msg(&self, round: u64, payload: &[u8]) -> Vec<u8> {
@@ -575,10 +557,6 @@ impl AtomicBroadcast {
         rng: &mut SeededRng,
         out: &mut Outbox<AbcMessage>,
     ) -> Vec<AbcDeliver> {
-        // Apply any pool verdicts that landed since the last tick before
-        // handling the message: a share batch completed between ticks
-        // must never stall the round until the next timer fires.
-        self.drain_all_verifications(rng, out);
         if from >= self.n {
             return Vec::new(); // out-of-range sender
         }
@@ -662,13 +640,7 @@ impl AtomicBroadcast {
             );
             self.mvbas.insert(round, mvba);
         }
-        let mvba = self.mvbas.get_mut(&round).expect("inserted above");
-        if let Some(pool) = &self.verify_pool {
-            if !mvba.has_verify_pool() {
-                mvba.set_verify_pool(Arc::clone(pool));
-            }
-        }
-        mvba
+        self.mvbas.get_mut(&round).expect("inserted above")
     }
 
     /// The prefix of the queue to propose next.
@@ -758,42 +730,13 @@ impl AtomicBroadcast {
             })
     }
 
-    /// Tick hook: applies off-thread verification verdicts that pool
-    /// workers delivered since the last call, then fires any enabled
-    /// round transitions. Pure [`try_progress`] when no threaded pool
-    /// is attached.
+    /// Tick hook: fires any enabled round transitions.
     pub fn on_tick(
         &mut self,
         rng: &mut SeededRng,
         out: &mut Outbox<AbcMessage>,
     ) -> Vec<AbcDeliver> {
-        self.drain_all_verifications(rng, out);
         self.try_progress(rng, out)
-    }
-
-    /// Applies off-thread verification verdicts that pool workers have
-    /// delivered, across every open round's MVBA (and its CBC/ABBA
-    /// children). Decisions land in `decided_lists`; the caller's
-    /// `try_progress` turns them into deliveries. No-op without a pool.
-    fn drain_all_verifications(&mut self, rng: &mut SeededRng, out: &mut Outbox<AbcMessage>) {
-        if self.verify_pool.is_none() {
-            return;
-        }
-        let rounds: Vec<u64> = self.mvbas.keys().copied().collect();
-        for round in rounds {
-            let mut sub = Outbox::new(self.n);
-            let decision = self
-                .mvbas
-                .get_mut(&round)
-                .expect("snapshotted key")
-                .drain_verifications(rng, &mut sub);
-            for (to, m) in sub {
-                out.send(to, AbcMessage::Mvba { round, inner: m });
-            }
-            if let Some(list) = decision {
-                self.decided_lists.insert(round, list);
-            }
-        }
     }
 
     /// Fires all enabled round transitions, across the whole pipeline
@@ -1252,13 +1195,6 @@ impl AbcNode {
             .gauge_set(Layer::Abc, "rounds_in_flight", self.abc.rounds_in_flight());
         ctx.obs
             .gauge_set(Layer::Abc, "batch_size", self.abc.last_batch_size());
-        if let Some(pool) = self.abc.verify_pool() {
-            ctx.obs.gauge_set(
-                Layer::Abc,
-                "verify_jobs_off_thread",
-                pool.stats().ran_off_thread,
-            );
-        }
     }
 }
 
@@ -2087,72 +2023,6 @@ mod tests {
             round - PIPELINE_ACK_SLACK,
             "ack discounted by the pipeline slack"
         );
-    }
-
-    #[test]
-    fn inline_verify_pool_preserves_delivery() {
-        // A 0-worker pool must be behaviorally inert: same agreement,
-        // everything verified inline on the protocol thread.
-        let mut ns = nodes(4, 1, 170);
-        let pool = VerifyPool::new(0);
-        for node in &mut ns {
-            node.endpoint_mut().set_verify_pool(Arc::clone(&pool));
-        }
-        let mut sim = Simulation::builder(ns, RandomScheduler).seed(171).build();
-        for p in 0..4 {
-            sim.input(p, format!("inline-{p}").into_bytes());
-        }
-        sim.run_until_quiet(100_000_000);
-        let reference = delivered_payloads(&sim, 0);
-        assert_eq!(reference.len(), 4);
-        for p in 1..4 {
-            assert_eq!(delivered_payloads(&sim, p), reference, "party {p}");
-        }
-        let stats = pool.stats();
-        assert!(stats.submitted > 0, "coin batches went through the pool");
-        assert_eq!(stats.ran_inline, stats.submitted, "0 workers: all inline");
-        assert_eq!(stats.ran_off_thread, 0);
-    }
-
-    #[test]
-    fn threaded_verify_pool_runs_off_thread() {
-        // Single-party group driven by hand: broadcast, shuttle the
-        // self-addressed messages, and tick until the off-thread verdict
-        // lands. The crypto-op attribution is the pool's own counters.
-        let ts = TrustStructure::threshold(1, 0).unwrap();
-        let mut rng = SeededRng::new(5);
-        let (public, bundles) = Dealer::deal(&ts, &mut rng);
-        let mut abc = AtomicBroadcast::new(
-            Tag::root("abc"),
-            Arc::new(public),
-            Arc::new(bundles.into_iter().next().unwrap()),
-        );
-        let pool = VerifyPool::new(2);
-        abc.set_verify_pool(Arc::clone(&pool));
-        let mut out = Outbox::new(1);
-        let mut delivered = abc.broadcast(b"offload".to_vec(), &mut rng, &mut out);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let mut inbox: VecDeque<AbcMessage> = out.into_iter().map(|(_, m)| m).collect();
-        while delivered.is_empty() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "no delivery within 10s"
-            );
-            let mut out = Outbox::new(1);
-            if let Some(m) = inbox.pop_front() {
-                delivered.extend(abc.on_message(0, m, &mut rng, &mut out));
-            } else {
-                // Idle: the verdict is still at the pool; tick to drain.
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                delivered.extend(abc.on_tick(&mut rng, &mut out));
-            }
-            inbox.extend(out.into_iter().map(|(_, m)| m));
-        }
-        assert_eq!(delivered[0].payload, b"offload".to_vec());
-        pool.shutdown();
-        let stats = pool.stats();
-        assert!(stats.ran_off_thread >= 1, "verification left the thread");
-        assert_eq!(stats.ran_inline, 0);
     }
 
     #[test]

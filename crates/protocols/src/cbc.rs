@@ -16,7 +16,6 @@
 //! experiment E3 measures.
 
 use crate::common::{digest, BatchedShares, Digest, Outbox, Tag, WireKind};
-use crate::pool::{Verdict, VerdictChannel, VerifyPool};
 use serde::{Deserialize, Serialize};
 use sintra_adversary::party::{PartyId, PartySet};
 use sintra_crypto::dealer::{PublicParameters, ServerKeyBundle};
@@ -81,13 +80,6 @@ pub struct ConsistentBroadcast {
     /// deterministic, so one failure convicts the sender: its later
     /// `Final`s for this instance are dropped unchecked.
     final_banned: PartySet,
-    /// Optional off-thread verification pool for the sender-side echo
-    /// batch (`None` = verify inline at quorum time).
-    pool: Option<Arc<VerifyPool>>,
-    /// Ordered verdict stream for the pooled echo batch.
-    verdicts: VerdictChannel<u8>,
-    /// Whether the echo batch is currently out at the pool.
-    awaiting: bool,
 }
 
 impl ConsistentBroadcast {
@@ -116,18 +108,7 @@ impl ConsistentBroadcast {
             echo: None,
             delivered: false,
             final_banned: PartySet::new(),
-            pool: None,
-            verdicts: VerdictChannel::new(),
-            awaiting: false,
         }
-    }
-
-    /// Attaches a verification pool: the sender-side echo batch is then
-    /// verified off the protocol thread and the Final emission parks
-    /// until [`drain_verifications`](Self::drain_verifications) applies
-    /// the verdict.
-    pub fn set_verify_pool(&mut self, pool: Arc<VerifyPool>) {
-        self.pool = Some(pool);
     }
 
     fn signed_message(&self, d: &Digest) -> Vec<u8> {
@@ -212,15 +193,6 @@ impl ConsistentBroadcast {
                     return None;
                 }
                 let to_sign = self.signed_message(&d);
-                if self.pool.is_some() {
-                    // Ship the batch off-thread and park the Final; it is
-                    // emitted from `drain_verifications` once the verdict
-                    // lands.
-                    self.submit_echo_batch(&to_sign, rng);
-                    if self.awaiting {
-                        return None;
-                    }
-                }
                 let signing = self.public.signing();
                 self.shares
                     .settle(|batch| signing.verify_shares(&to_sign, batch, rng));
@@ -264,62 +236,6 @@ impl ConsistentBroadcast {
         }
         self.delivered = true;
         Some(voucher)
-    }
-
-    /// Ships the pending echo shares to the verify pool (no-op when the
-    /// batch is already in flight or nothing is pending).
-    fn submit_echo_batch(&mut self, to_sign: &[u8], rng: &mut SeededRng) {
-        if self.awaiting || !self.shares.has_pending() {
-            return;
-        }
-        let Some(pool) = self.pool.clone() else {
-            return;
-        };
-        let snapshot = self.shares.pending_snapshot();
-        let parties: Vec<PartyId> = snapshot.iter().map(|(p, _)| *p).collect();
-        let shares: Vec<SignatureShare> = snapshot.into_iter().map(|(_, s)| s).collect();
-        let public = Arc::clone(&self.public);
-        let msg = to_sign.to_vec();
-        let seed = rng.next_u64();
-        let sender = self.verdicts.sender();
-        self.awaiting = true;
-        pool.submit(Box::new(move || {
-            let culprits = public
-                .signing()
-                .verify_shares(&msg, &shares, &mut SeededRng::new(seed))
-                .err()
-                .unwrap_or_default();
-            sender.send(Verdict {
-                key: 0,
-                parties,
-                culprits,
-            });
-        }));
-    }
-
-    /// Applies pool verdicts for the sender-side echo batch and emits
-    /// the parked Final if the surviving shares still combine to a core
-    /// quorum. Cheap when nothing is in flight.
-    pub fn drain_verifications(&mut self, out: &mut Outbox<CbcMessage>) -> Option<Voucher> {
-        let verdicts = self.verdicts.drain();
-        if verdicts.is_empty() {
-            return None;
-        }
-        for v in verdicts {
-            self.awaiting = false;
-            self.shares.apply_verdict(&v.parties, &v.culprits);
-        }
-        if self.final_sent {
-            return None;
-        }
-        let (payload, _) = self.my_payload.clone()?;
-        let verified: Vec<SignatureShare> = self.shares.verified().values().cloned().collect();
-        let signing = self.public.signing();
-        if let Ok(sig) = signing.combine_preverified(&verified, QuorumRule::Core) {
-            self.final_sent = true;
-            out.broadcast(CbcMessage::Final(payload, sig));
-        }
-        None
     }
 }
 

@@ -338,35 +338,6 @@ impl<S> BatchedShares<S> {
         self.verified.append(&mut self.pending);
         culprits
     }
-
-    /// Snapshot of the pending pool, for handing a verification batch
-    /// to an off-thread worker. The pool is left untouched; pair with
-    /// [`BatchedShares::apply_verdict`] once the worker reports back.
-    pub fn pending_snapshot(&self) -> Vec<(PartyId, S)>
-    where
-        S: Clone,
-    {
-        self.pending.iter().map(|(p, s)| (*p, s.clone())).collect()
-    }
-
-    /// Applies an off-thread verification verdict for the batch that
-    /// was snapshotted as `parties`: culprits are banned and dropped,
-    /// the rest of the snapshot moves to the settled set. Shares that
-    /// arrived after the snapshot stay pending for a later batch.
-    pub fn apply_verdict(&mut self, parties: &[PartyId], culprits: &[PartyId]) {
-        for culprit in culprits {
-            self.pending.remove(culprit);
-            self.banned.insert(*culprit);
-        }
-        for party in parties {
-            if culprits.contains(party) {
-                continue;
-            }
-            if let Some(share) = self.pending.remove(party) {
-                self.verified.insert(*party, share);
-            }
-        }
-    }
 }
 
 /// Per-server protocol context: identity, public parameters, secret key
@@ -543,7 +514,11 @@ mod tests {
         let mut tracker: BatchedShares<u8> = BatchedShares::with_bans(known);
         assert!(!tracker.insert(2, 7));
         assert!(tracker.insert(0, 1));
-        assert!(!tracker.has_pending() || tracker.pending_snapshot().len() == 1);
+        // Only party 0's share is pending: the banned sender's was
+        // never stored.
+        let holders = tracker.holders();
+        assert!(tracker.has_pending());
+        assert!(holders.contains(0) && !holders.contains(2) && holders.len() == 1);
         // A cross-tracker ban drops the pending share and blocks
         // re-entry, but leaves already-verified shares alone.
         assert!(tracker.insert(3, 9));

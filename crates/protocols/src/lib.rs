@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # sintra-protocols
 //!
 //! The secure asynchronous broadcast protocol stack of **SINTRA-RS**

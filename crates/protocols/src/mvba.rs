@@ -28,7 +28,6 @@
 use crate::abba::{Abba, AbbaMessage, EvidenceCheck};
 use crate::cbc::{CbcMessage, ConsistentBroadcast, Voucher};
 use crate::common::{BatchedShares, Outbox, Tag, WireKind};
-use crate::pool::{Verdict, VerdictChannel, VerifyPool};
 use parking_lot::Mutex;
 use sintra_adversary::party::{PartyId, PartySet};
 use sintra_crypto::coin::CoinShare;
@@ -36,7 +35,7 @@ use sintra_crypto::dealer::{PublicParameters, ServerKeyBundle};
 use sintra_crypto::rng::SeededRng;
 use sintra_net::protocol::Context;
 use sintra_obs::Layer;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// External validity predicate: decides whether a byte string is an
@@ -135,14 +134,6 @@ pub struct Mvba {
     /// A 1-decision whose voucher has not arrived yet.
     waiting_for: Option<(u64, PartyId)>,
     decided: Option<Vec<u8>>,
-    /// Off-thread verification pool; `None` keeps the seed behavior of
-    /// verifying on the protocol thread.
-    pool: Option<Arc<VerifyPool>>,
-    /// Ordered verdict stream for pooled coin-batch jobs, keyed by
-    /// election.
-    verdicts: VerdictChannel<u64>,
-    /// Elections whose coin batch is currently out at the pool.
-    awaiting_verify: BTreeSet<u64>,
     /// Instance-wide culprit cache: a sender whose coin share failed
     /// verification in any election is banned from every current and
     /// future election tracker, so its spam costs O(1) per share.
@@ -204,33 +195,8 @@ impl Mvba {
             pending_votes: BTreeMap::new(),
             waiting_for: None,
             decided: None,
-            pool: None,
-            verdicts: VerdictChannel::new(),
-            awaiting_verify: BTreeSet::new(),
             instance_banned: PartySet::new(),
         }
-    }
-
-    /// Routes share-batch verification through `pool` instead of running
-    /// it inline, for this instance and all its sub-protocols (CBC echo
-    /// batches, ABBA vote and coin batches). Verdicts from threaded
-    /// pools are applied by [`Mvba::drain_verifications`], which runs on
-    /// every message entry and from the ABC layer's tick; a 0-worker
-    /// pool completes synchronously, so behavior is identical to inline
-    /// verification.
-    pub fn set_verify_pool(&mut self, pool: Arc<VerifyPool>) {
-        for cbc in &mut self.cbc {
-            cbc.set_verify_pool(Arc::clone(&pool));
-        }
-        for abba in self.abbas.values_mut() {
-            abba.set_verify_pool(Arc::clone(&pool));
-        }
-        self.pool = Some(pool);
-    }
-
-    /// Whether a verification pool is attached.
-    pub fn has_verify_pool(&self) -> bool {
-        self.pool.is_some()
     }
 
     /// Whether the dissemination phase has reached a core proposal
@@ -305,14 +271,6 @@ impl Mvba {
     ) -> Option<Vec<u8>> {
         if from >= self.n {
             return None;
-        }
-        // Verdicts may have landed since the last tick; apply them before
-        // handling the message so a batch completed between ticks never
-        // stalls the round until the next timer fires.
-        if self.pool.is_some() {
-            if let Some(d) = self.drain_verifications(rng, out) {
-                return Some(d);
-            }
         }
         if self.decided.is_some() {
             // A terminated party must keep serving proposal dissemination
@@ -469,30 +427,17 @@ impl Mvba {
                 return None;
             }
         }
-        if self.pool.is_some() {
-            // Hand the pending batch to the pool. An inline (0-worker)
-            // pool has sent its verdict by the time submit returns, so
-            // applying immediately keeps the single-threaded cadence; a
-            // threaded pool reports back through drain_verifications
-            // and this election stays parked until then.
-            self.submit_verification(election, &name, rng);
-            self.apply_verdicts();
-            if self.awaiting_verify.contains(&election) {
-                return None;
-            }
-        } else {
-            // Batch-verify the pending shares' DLEQ proofs in one
-            // multi-exp; culprits are banned and the combine skips
-            // proof re-checks.
-            let tracker = self
-                .elect_shares
-                .get_mut(&election)
-                .expect("tracker checked above");
-            let coin = self.public.coin();
-            let caught = tracker.settle(|batch| coin.verify_shares(&name, batch, rng));
-            for culprit in caught {
-                self.ban_sender(culprit);
-            }
+        // Batch-verify the pending shares' DLEQ proofs in one
+        // multi-exp; culprits are banned and the combine skips
+        // proof re-checks.
+        let tracker = self
+            .elect_shares
+            .get_mut(&election)
+            .expect("tracker checked above");
+        let coin = self.public.coin();
+        let caught = tracker.settle(|batch| coin.verify_shares(&name, batch, rng));
+        for culprit in caught {
+            self.ban_sender(culprit);
         }
         let tracker = self
             .elect_shares
@@ -510,9 +455,6 @@ impl Mvba {
             Arc::clone(&self.bundle),
             self.evidence_check(candidate),
         );
-        if let Some(pool) = &self.pool {
-            abba.set_verify_pool(Arc::clone(pool));
-        }
         // Propose.
         let my_voucher = self.vouchers.lock().get(&candidate).cloned();
         let mut sub = Outbox::new(self.n);
@@ -569,48 +511,6 @@ impl Mvba {
         })
     }
 
-    /// Ships `election`'s pending coin shares to the verification pool.
-    /// No-op when the batch is already in flight or nothing is pending.
-    fn submit_verification(&mut self, election: u64, name: &[u8], rng: &mut SeededRng) {
-        if self.awaiting_verify.contains(&election) {
-            return;
-        }
-        let Some(tracker) = self.elect_shares.get(&election) else {
-            return;
-        };
-        if !tracker.has_pending() {
-            return;
-        }
-        let Some(pool) = self.pool.clone() else {
-            return;
-        };
-        let snapshot = tracker.pending_snapshot();
-        let parties: Vec<PartyId> = snapshot.iter().map(|(p, _)| *p).collect();
-        let shares: Vec<CoinShare> = snapshot.into_iter().map(|(_, s)| s).collect();
-        let public = Arc::clone(&self.public);
-        let name = name.to_vec();
-        let sender = self.verdicts.sender();
-        // Workers need randomness for the batch combination
-        // coefficients; derive it from the protocol stream so the whole
-        // run stays seeded.
-        let seed = rng.next_u64();
-        self.awaiting_verify.insert(election);
-        pool.submit(Box::new(move || {
-            let mut rng = SeededRng::new(seed);
-            let culprits = match public.coin().verify_shares(&name, &shares, &mut rng) {
-                Ok(()) => Vec::new(),
-                Err(culprits) => culprits,
-            };
-            // If the instance was dropped (round GC'd) the channel is
-            // closed and the verdict is simply discarded.
-            sender.send(Verdict {
-                key: election,
-                parties,
-                culprits,
-            });
-        }));
-    }
-
     /// Cross-election culprit propagation — the per-(sender, election)
     /// verdict cache: an invalid coin share bans its sender from every
     /// buffered election tracker, and `instance_banned` seeds all future
@@ -621,78 +521,6 @@ impl Mvba {
         for tracker in self.elect_shares.values_mut() {
             tracker.ban(culprit);
         }
-    }
-
-    /// Applies any verdicts pool workers have sent back; returns the
-    /// elections whose batches settled.
-    fn apply_verdicts(&mut self) -> Vec<u64> {
-        let mut settled = Vec::new();
-        for v in self.verdicts.drain() {
-            self.awaiting_verify.remove(&v.key);
-            if let Some(tracker) = self.elect_shares.get_mut(&v.key) {
-                tracker.apply_verdict(&v.parties, &v.culprits);
-            }
-            for &culprit in &v.culprits {
-                self.ban_sender(culprit);
-            }
-            settled.push(v.key);
-        }
-        settled
-    }
-
-    /// Applies pool verdicts — its own election coins plus those of its
-    /// CBC and ABBA sub-protocols — and advances whatever was parked on
-    /// them. Runs on every message entry and from the ABC layer's tick;
-    /// returns the decision if one results.
-    pub fn drain_verifications(
-        &mut self,
-        rng: &mut SeededRng,
-        out: &mut Outbox<MvbaMessage>,
-    ) -> Option<Vec<u8>> {
-        self.pool.as_ref()?;
-        // CBC echo batches settle first: a delivered voucher can unlock
-        // the proposal quorum (and must be served even after deciding,
-        // so laggards still receive the transferable Final).
-        for proposer in 0..self.n {
-            let mut sub = Outbox::new(self.n);
-            let delivered = self.cbc[proposer].drain_verifications(&mut sub);
-            wrap(out, sub, |inner| MvbaMessage::Proposal { proposer, inner });
-            if let Some(voucher) = delivered {
-                if self.decided.is_none() && (self.predicate)(&voucher.payload) {
-                    self.store_voucher(proposer, voucher);
-                }
-            }
-        }
-        if self.decided.is_some() {
-            return None;
-        }
-        if let Some(d) = self.progress(rng, out) {
-            return Some(d);
-        }
-        let settled = self.apply_verdicts();
-        for election in settled {
-            let decision = self.try_elect(election, rng, out);
-            if decision.is_some() {
-                return decision;
-            }
-        }
-        // ABBA coin/vote batches.
-        let elections: Vec<u64> = self.abbas.keys().copied().collect();
-        for election in elections {
-            let mut sub = Outbox::new(self.n);
-            let decision = self
-                .abbas
-                .get_mut(&election)
-                .expect("listed above")
-                .drain_verifications(rng, &mut sub);
-            wrap(out, sub, |inner| MvbaMessage::Vote { election, inner });
-            if let Some(bit) = decision {
-                if let Some(d) = self.on_abba_decision(election, bit, rng, out) {
-                    return Some(d);
-                }
-            }
-        }
-        None
     }
 
     fn on_abba_decision(
@@ -761,6 +589,7 @@ mod tests {
     use sintra_crypto::tsig::{QuorumRule, ThresholdSignature};
     use sintra_net::protocol::{Effects, Protocol};
     use sintra_net::sim::{Behavior, FifoScheduler, LifoScheduler, RandomScheduler, Simulation};
+    use std::collections::BTreeSet;
 
     #[derive(Debug)]
     pub struct MvbaNode {

@@ -1,437 +1,24 @@
-//! Off-thread verification worker pool.
-//!
-//! Threshold-share verification is the dominant per-round crypto cost
-//! (see `BENCH_crypto.json`), and the protocol thread also owns the
-//! wire. This module provides a small hand-rolled worker pool — plain
-//! `std::thread` workers draining an `mpsc` channel, no external deps —
-//! that protocols hand their [`BatchedShares`](crate::common::BatchedShares)
-//! verification batches to. Workers run the batch multi-exponentiation
-//! and send a verdict (settled parties + culprits) back over a channel
-//! owned by the submitting protocol instance, which applies it on its
-//! next message or tick. Verification thus overlaps with wire I/O and
-//! with other pipelined rounds.
-//!
-//! A pool built with **0 workers** degrades to inline mode: `submit`
-//! runs the job on the caller's thread before returning, so every
-//! protocol path behaves identically (same messages, same decisions) —
-//! only the thread attribution changes. That keeps single-threaded
-//! simulations and deterministic campaign replays exact.
-//!
-//! # Ordering contract
-//!
-//! Verdicts are delivered **in submission order per source**. A source
-//! is one [`VerdictChannel`]; [`VerdictChannel::drain`] yields the
-//! verdict of submission `i` only after the verdicts of all earlier
-//! submissions from the same channel have been yielded, regardless of
-//! the order in which workers finish the jobs. Inline (0-worker) pools
-//! satisfy this trivially because jobs complete synchronously in
-//! submission order; threaded pools satisfy it because the channel
-//! holds early verdicts in a reorder buffer until their predecessors
-//! arrive. Protocol code can therefore rely on one contract in both
-//! modes: per-source FIFO verdicts, with no cross-source ordering
-//! guarantees.
+//! What is left of the verification pool: two types that `benchmark/`
+//! still reads. Shares are verified inline, so no pool exists and
+//! [`verify_pool`](crate::abc::AtomicBroadcast::verify_pool) is always
+//! `None`. This module goes in the next change that may touch `benchmark/`.
 
-use parking_lot::Mutex;
-use sintra_adversary::party::PartyId;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// A unit of verification work. Jobs capture everything they need
-/// (shares, public parameters, a result sender) and must not panic.
-pub type VerifyJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// Counters describing where a pool's jobs actually ran. Exposed so
-/// tests (and metrics gauges) can assert that verification really left
-/// the protocol thread.
+/// Where a pool's jobs ran. No value is ever built.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker threads the pool was built with.
-    pub workers: usize,
-    /// Jobs handed to `submit`.
+    /// Jobs handed to the pool.
     pub submitted: u64,
-    /// Jobs that ran inline on the submitting thread (0-worker mode).
-    pub ran_inline: u64,
     /// Jobs completed by a worker thread.
     pub ran_off_thread: u64,
 }
 
-/// Hand-rolled thread pool for deferred share verification.
-///
-/// Cloneable via `Arc`; one pool is typically shared by every protocol
-/// instance of a node (ABC hands it down to each per-round MVBA).
-/// Dropping the last handle closes the channel and joins the workers.
-pub struct VerifyPool {
-    tx: Mutex<Option<Sender<VerifyJob>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    worker_count: usize,
-    submitted: AtomicU64,
-    ran_inline: AtomicU64,
-    ran_off_thread: AtomicU64,
-}
-
-impl std::fmt::Debug for VerifyPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VerifyPool")
-            .field("workers", &self.worker_count)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
+/// An uninhabited pool: no value of this type exists.
+#[derive(Debug)]
+pub enum VerifyPool {}
 
 impl VerifyPool {
-    /// Builds a pool with `workers` threads. `workers == 0` yields an
-    /// inline pool: submissions run synchronously on the caller.
-    pub fn new(workers: usize) -> Arc<Self> {
-        let pool = Arc::new(VerifyPool {
-            tx: Mutex::new(None),
-            workers: Mutex::new(Vec::new()),
-            worker_count: workers,
-            submitted: AtomicU64::new(0),
-            ran_inline: AtomicU64::new(0),
-            ran_off_thread: AtomicU64::new(0),
-        });
-        if workers > 0 {
-            let (tx, rx) = channel::<VerifyJob>();
-            let rx = Arc::new(Mutex::new(rx));
-            let mut handles = Vec::with_capacity(workers);
-            for i in 0..workers {
-                let rx = Arc::clone(&rx);
-                let pool = Arc::clone(&pool);
-                let handle = std::thread::Builder::new()
-                    .name(format!("sintra-verify-{i}"))
-                    .spawn(move || loop {
-                        // Take the lock only while dequeuing so workers
-                        // drain the channel concurrently with each
-                        // other's job execution.
-                        let job = {
-                            let guard = rx.lock();
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => {
-                                job();
-                                pool.ran_off_thread.fetch_add(1, Ordering::Relaxed);
-                            }
-                            // Channel closed: pool is shutting down.
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("spawn verify worker");
-                handles.push(handle);
-            }
-            *pool.tx.lock() = Some(tx);
-            *pool.workers.lock() = handles;
-        }
-        pool
-    }
-
-    /// Whether submissions run on the caller's thread (0 workers).
-    pub fn is_inline(&self) -> bool {
-        self.worker_count == 0
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.worker_count
-    }
-
-    /// Queues `job` for a worker, or runs it inline for a 0-worker
-    /// pool (and for any job raced against shutdown).
-    pub fn submit(&self, job: VerifyJob) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let sent = {
-            let guard = self.tx.lock();
-            match &*guard {
-                Some(tx) => tx.send(job).map_err(|e| e.0).err(),
-                None => Some(job),
-            }
-        };
-        if let Some(job) = sent {
-            job();
-            self.ran_inline.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Where submitted jobs have run so far.
+    /// Unreachable, since no pool exists.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.worker_count,
-            submitted: self.submitted.load(Ordering::Relaxed),
-            ran_inline: self.ran_inline.load(Ordering::Relaxed),
-            ran_off_thread: self.ran_off_thread.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Closes the queue and joins the workers. Also runs on drop of the
-    /// last `Arc`; explicit calls make shutdown points visible in
-    /// drivers that want deterministic teardown.
-    pub fn shutdown(&self) {
-        let tx = self.tx.lock().take();
-        drop(tx);
-        let handles = std::mem::take(&mut *self.workers.lock());
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The outcome of one deferred verification batch: which parties'
-/// shares were covered and which of them were attributed as culprits.
-/// `key` identifies the batch to its owner (an election number, a
-/// `(round, phase)` pair, a causal sequence number, ...).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Verdict<K> {
-    /// Owner-defined identifier of the settled batch.
-    pub key: K,
-    /// Parties whose shares the batch covered.
-    pub parties: Vec<PartyId>,
-    /// The subset of `parties` whose shares failed verification.
-    pub culprits: Vec<PartyId>,
-}
-
-/// A per-protocol-instance verdict mailbox enforcing the module-level
-/// ordering contract: [`drain`](Self::drain) releases verdicts strictly
-/// in the order their [`VerdictSender`]s were allocated, buffering any
-/// verdict that finishes ahead of an earlier in-flight submission.
-///
-/// A sender dropped without sending (a job lost to worker teardown)
-/// reports a gap instead of wedging the channel, so later verdicts
-/// still flow; the owning protocol re-submits the batch on its next
-/// settle attempt.
-#[derive(Debug)]
-pub struct VerdictChannel<K> {
-    tx: Sender<(u64, Option<Verdict<K>>)>,
-    rx: Receiver<(u64, Option<Verdict<K>>)>,
-    next_seq: u64,
-    next_deliver: u64,
-    held: BTreeMap<u64, Option<Verdict<K>>>,
-}
-
-impl<K> Default for VerdictChannel<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K> VerdictChannel<K> {
-    /// Creates an empty channel.
-    pub fn new() -> Self {
-        let (tx, rx) = channel();
-        VerdictChannel {
-            tx,
-            rx,
-            next_seq: 0,
-            next_deliver: 0,
-            held: BTreeMap::new(),
-        }
-    }
-
-    /// Allocates the next submission slot. The returned sender is
-    /// captured by the verification job; the slot's position in the
-    /// delivery order is fixed now, at submission time.
-    pub fn sender(&mut self) -> VerdictSender<K> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        VerdictSender {
-            seq,
-            tx: Some(self.tx.clone()),
-        }
-    }
-
-    /// Number of submissions whose verdicts have not been delivered.
-    pub fn in_flight(&self) -> u64 {
-        self.next_seq - self.next_deliver - self.held.len() as u64
-    }
-
-    /// Pulls completed verdicts, releasing them in submission order.
-    /// A verdict that finished out of order stays buffered until every
-    /// earlier submission has reported (or been dropped).
-    pub fn drain(&mut self) -> Vec<Verdict<K>> {
-        while let Ok((seq, verdict)) = self.rx.try_recv() {
-            self.held.insert(seq, verdict);
-        }
-        let mut out = Vec::new();
-        while let Some(entry) = self.held.remove(&self.next_deliver) {
-            self.next_deliver += 1;
-            if let Some(verdict) = entry {
-                out.push(verdict);
-            }
-        }
-        out
-    }
-}
-
-/// One-shot slot for reporting a [`Verdict`], bound at submission time
-/// to its position in the channel's delivery order.
-pub struct VerdictSender<K> {
-    seq: u64,
-    tx: Option<Sender<(u64, Option<Verdict<K>>)>>,
-}
-
-impl<K> VerdictSender<K> {
-    /// Reports the verdict. Errors (channel owner gone) are ignored:
-    /// the owning protocol instance was dropped and nobody is left to
-    /// care.
-    pub fn send(mut self, verdict: Verdict<K>) {
-        if let Some(tx) = self.tx.take() {
-            let _ = tx.send((self.seq, Some(verdict)));
-        }
-    }
-}
-
-impl<K> Drop for VerdictSender<K> {
-    fn drop(&mut self) {
-        // Unsent slot: report a gap so later verdicts are not held
-        // behind a submission that will never complete.
-        if let Some(tx) = self.tx.take() {
-            let _ = tx.send((self.seq, None));
-        }
-    }
-}
-
-impl Drop for VerifyPool {
-    fn drop(&mut self) {
-        // Workers hold no Arc cycles back to the pool's channel half,
-        // so dropping the sender here unblocks and ends them.
-        let tx = self.tx.lock().take();
-        drop(tx);
-        let handles = std::mem::take(&mut *self.workers.lock());
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::mpsc::channel;
-
-    #[test]
-    fn inline_pool_runs_on_caller_thread() {
-        let pool = VerifyPool::new(0);
-        assert!(pool.is_inline());
-        let me = std::thread::current().id();
-        let (tx, rx) = channel();
-        pool.submit(Box::new(move || {
-            tx.send(std::thread::current().id()).unwrap();
-        }));
-        // Inline submit is synchronous: the result is already there.
-        assert_eq!(rx.try_recv().unwrap(), me);
-        let stats = pool.stats();
-        assert_eq!(stats.submitted, 1);
-        assert_eq!(stats.ran_inline, 1);
-        assert_eq!(stats.ran_off_thread, 0);
-    }
-
-    #[test]
-    fn threaded_pool_runs_off_caller_thread() {
-        let pool = VerifyPool::new(2);
-        assert!(!pool.is_inline());
-        let me = std::thread::current().id();
-        let (tx, rx) = channel();
-        for _ in 0..8 {
-            let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                tx.send(std::thread::current().id()).unwrap();
-            }));
-        }
-        for _ in 0..8 {
-            let worker = rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-            assert_ne!(worker, me, "job ran on the submitting thread");
-        }
-        pool.shutdown();
-        let stats = pool.stats();
-        assert_eq!(stats.submitted, 8);
-        assert_eq!(stats.ran_inline, 0);
-        assert_eq!(stats.ran_off_thread, 8);
-    }
-
-    fn verdict(key: u64) -> Verdict<u64> {
-        Verdict {
-            key,
-            parties: vec![0, 1],
-            culprits: vec![],
-        }
-    }
-
-    /// Drains until `want` verdicts arrive or a timeout expires.
-    fn drain_until(channel: &mut VerdictChannel<u64>, want: usize) -> Vec<Verdict<u64>> {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let mut out = Vec::new();
-        while out.len() < want && std::time::Instant::now() < deadline {
-            out.extend(channel.drain());
-            std::thread::yield_now();
-        }
-        out
-    }
-
-    #[test]
-    fn inline_pool_delivers_verdicts_in_submission_order() {
-        let pool = VerifyPool::new(0);
-        let mut channel = VerdictChannel::new();
-        for key in 0..4u64 {
-            let slot = channel.sender();
-            pool.submit(Box::new(move || slot.send(verdict(key))));
-        }
-        let keys: Vec<u64> = channel.drain().into_iter().map(|v| v.key).collect();
-        assert_eq!(keys, vec![0, 1, 2, 3]);
-        assert_eq!(channel.in_flight(), 0);
-    }
-
-    #[test]
-    fn threaded_pool_delivers_verdicts_in_submission_order() {
-        // Two workers so the second job can finish while the first is
-        // still sleeping: the channel must hold the second verdict back
-        // until the first lands, per the module ordering contract.
-        let pool = VerifyPool::new(2);
-        let mut verdicts = VerdictChannel::new();
-        let slot0 = verdicts.sender();
-        let slot1 = verdicts.sender();
-        let (gate_tx, gate_rx) = channel::<()>();
-        pool.submit(Box::new(move || {
-            // Block until told: guarantees job 1 completes first.
-            let _ = gate_rx.recv_timeout(std::time::Duration::from_secs(5));
-            slot0.send(verdict(0));
-        }));
-        pool.submit(Box::new(move || slot1.send(verdict(1))));
-        // Let job 1 finish; nothing may be delivered ahead of job 0.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(verdicts.drain().is_empty(), "verdict 1 must wait for 0");
-        gate_tx.send(()).unwrap();
-        let keys: Vec<u64> = drain_until(&mut verdicts, 2)
-            .into_iter()
-            .map(|v| v.key)
-            .collect();
-        assert_eq!(keys, vec![0, 1]);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn dropped_sender_leaves_gap_not_wedge() {
-        let mut channel = VerdictChannel::<u64>::new();
-        let lost = channel.sender();
-        let live = channel.sender();
-        drop(lost);
-        live.send(verdict(7));
-        let keys: Vec<u64> = channel.drain().into_iter().map(|v| v.key).collect();
-        assert_eq!(keys, vec![7]);
-        assert_eq!(channel.in_flight(), 0);
-    }
-
-    #[test]
-    fn shutdown_is_idempotent_and_late_submits_run_inline() {
-        let pool = VerifyPool::new(1);
-        pool.shutdown();
-        pool.shutdown();
-        let (tx, rx) = channel();
-        pool.submit(Box::new(move || {
-            tx.send(7u32).unwrap();
-        }));
-        assert_eq!(rx.try_recv().unwrap(), 7);
-        assert_eq!(pool.stats().ran_inline, 1);
+        match *self {}
     }
 }

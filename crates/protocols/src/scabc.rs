@@ -17,14 +17,13 @@
 
 use crate::abc::{AbcMessage, AtomicBroadcast};
 use crate::common::{BatchedShares, Outbox, Tag, WireKind};
-use crate::pool::{Verdict, VerdictChannel, VerifyPool};
 use sintra_adversary::party::PartyId;
 use sintra_crypto::dealer::{PublicParameters, ServerKeyBundle};
 use sintra_crypto::rng::SeededRng;
 use sintra_crypto::tenc::{Ciphertext, DecryptionShare};
 use sintra_net::protocol::{Context, Effects, Protocol};
 use sintra_obs::{Event, EventKind, Layer};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Secure-causal-atomic-broadcast wire messages.
@@ -77,7 +76,7 @@ struct PendingDecryption {
     round: u64,
     origin: PartyId,
     /// Decryption shares, proofs batch-verified once a qualified holder
-    /// set exists (off-thread when a verify pool is attached).
+    /// set exists.
     shares: BatchedShares<DecryptionShare>,
 }
 
@@ -119,14 +118,6 @@ pub struct SecureCausalAtomicBroadcast {
     decrypted: BTreeMap<u64, ScabcDeliver>,
     next_causal_seq: u64,
     next_emit_seq: u64,
-    /// Optional off-thread verification pool for TDH2 decryption-share
-    /// batches (`None` = verify inline at quorum time).
-    pool: Option<Arc<VerifyPool>>,
-    /// Ordered verdict stream for pooled share batches, keyed by causal
-    /// sequence.
-    verdicts: VerdictChannel<u64>,
-    /// Sequences whose share batch is currently out at the pool.
-    awaiting: BTreeSet<u64>,
 }
 
 impl core::fmt::Debug for SecureCausalAtomicBroadcast {
@@ -162,20 +153,7 @@ impl SecureCausalAtomicBroadcast {
             decrypted: BTreeMap::new(),
             next_causal_seq: 0,
             next_emit_seq: 0,
-            pool: None,
-            verdicts: VerdictChannel::new(),
-            awaiting: BTreeSet::new(),
         }
-    }
-
-    /// Routes share-batch verification through `pool` for the whole
-    /// stack: the transport's threshold signatures and coins, and this
-    /// layer's TDH2 decryption shares. With a threaded pool, verdicts
-    /// are applied on every message entry and on the tick; a 0-worker
-    /// pool verifies inline.
-    pub fn set_verify_pool(&mut self, pool: Arc<VerifyPool>) {
-        self.abc.set_verify_pool(Arc::clone(&pool));
-        self.pool = Some(pool);
     }
 
     /// Number of plaintexts emitted.
@@ -242,9 +220,6 @@ impl SecureCausalAtomicBroadcast {
         self.completed.clear();
         self.completed_order.clear();
         self.decrypted.clear();
-        // In-flight verdicts now refer to dropped seqs; drain handles
-        // them as no-ops, but nothing must stay parked.
-        self.awaiting.clear();
         self.abc.fast_forward(next_seq, next_round, dedup);
     }
 
@@ -279,15 +254,13 @@ impl SecureCausalAtomicBroadcast {
         self.after_abc(delivered, rng, out)
     }
 
-    /// Tick hook: drives the transport's tick (off-thread verification
-    /// verdicts, pipelined round transitions) and releases any
-    /// resulting ordered plaintexts.
+    /// Tick hook: drives the transport's tick (pipelined round
+    /// transitions) and releases any resulting ordered plaintexts.
     pub fn on_tick(
         &mut self,
         rng: &mut SeededRng,
         out: &mut Outbox<ScabcMessage>,
     ) -> Vec<ScabcDeliver> {
-        self.drain_share_verdicts(rng);
         let mut sub = Outbox::new(self.abc.n());
         let delivered = self.abc.on_tick(rng, &mut sub);
         for (to, m) in sub {
@@ -304,10 +277,6 @@ impl SecureCausalAtomicBroadcast {
         rng: &mut SeededRng,
         out: &mut Outbox<ScabcMessage>,
     ) -> Vec<ScabcDeliver> {
-        // Share-batch verdicts may have landed since the last tick;
-        // apply them before handling the message so a completed batch
-        // never waits for the timer.
-        self.drain_share_verdicts(rng);
         match msg {
             ScabcMessage::Abc(inner) => {
                 let mut sub = Outbox::new(self.abc.n());
@@ -414,8 +383,7 @@ impl SecureCausalAtomicBroadcast {
 
     /// Attempts to finish a pending decryption. Proof checking is
     /// deferred until a structurally qualified holder set exists, then
-    /// runs as one batch — on the verify pool when attached (the seq
-    /// parks in `awaiting` until the verdict lands), inline otherwise.
+    /// runs as one batch.
     fn try_decrypt(&mut self, seq: u64, rng: &mut SeededRng) {
         let Some(p) = self.pending.get(&seq) else {
             return;
@@ -423,17 +391,10 @@ impl SecureCausalAtomicBroadcast {
         if !self.public.structure().is_qualified(&p.shares.holders()) {
             return;
         }
-        if self.pool.is_some() {
-            self.submit_share_batch(seq, rng);
-            if self.awaiting.contains(&seq) {
-                return;
-            }
-        } else {
-            let enc = self.public.encryption();
-            let p = self.pending.get_mut(&seq).expect("checked above");
-            let ct = p.ciphertext.clone();
-            p.shares.settle(|batch| enc.verify_shares(&ct, batch, rng));
-        }
+        let enc = self.public.encryption();
+        let p = self.pending.get_mut(&seq).expect("checked above");
+        let ct = p.ciphertext.clone();
+        p.shares.settle(|batch| enc.verify_shares(&ct, batch, rng));
         let p = self.pending.get(&seq).expect("checked above");
         let verified: Vec<DecryptionShare> = p.shares.verified().values().cloned().collect();
         let Ok(plaintext) = self
@@ -468,61 +429,6 @@ impl SecureCausalAtomicBroadcast {
                 plaintext,
             },
         );
-    }
-
-    /// Submits the pending decryption shares for `seq` to the verify
-    /// pool as one batch and parks the seq until the verdict returns.
-    /// No-op while a batch for this seq is already in flight.
-    fn submit_share_batch(&mut self, seq: u64, rng: &mut SeededRng) {
-        if self.awaiting.contains(&seq) {
-            return;
-        }
-        let Some(pool) = self.pool.clone() else {
-            return;
-        };
-        let Some(p) = self.pending.get(&seq) else {
-            return;
-        };
-        if !p.shares.has_pending() {
-            return;
-        }
-        let snapshot = p.shares.pending_snapshot();
-        let parties: Vec<PartyId> = snapshot.iter().map(|(pid, _)| *pid).collect();
-        let shares: Vec<DecryptionShare> = snapshot.into_iter().map(|(_, s)| s).collect();
-        let ct = p.ciphertext.clone();
-        let public = Arc::clone(&self.public);
-        let seed = rng.next_u64();
-        let sender = self.verdicts.sender();
-        self.awaiting.insert(seq);
-        pool.submit(Box::new(move || {
-            let culprits = public
-                .encryption()
-                .verify_shares(&ct, &shares, &mut SeededRng::new(seed))
-                .err()
-                .unwrap_or_default();
-            sender.send(Verdict {
-                key: seq,
-                parties,
-                culprits,
-            });
-        }));
-    }
-
-    /// Applies decryption-share verdicts from the verify pool and
-    /// resumes any parked decryptions. Cheap when nothing is in flight.
-    fn drain_share_verdicts(&mut self, rng: &mut SeededRng) {
-        if self.pool.is_none() {
-            return;
-        }
-        for v in self.verdicts.drain() {
-            self.awaiting.remove(&v.key);
-            if let Some(p) = self.pending.get_mut(&v.key) {
-                p.shares.apply_verdict(&v.parties, &v.culprits);
-            }
-            // Stragglers for already-dropped seqs fall through here as
-            // no-ops; a surviving entry re-runs the decrypt attempt.
-            self.try_decrypt(v.key, rng);
-        }
     }
 
     /// Emits decrypted requests in causal order.

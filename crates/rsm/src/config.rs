@@ -3,10 +3,10 @@
 //! Before the shard router, tuning a replica meant a scatter of
 //! per-layer setters — `set_ckpt_interval` on the replica,
 //! `set_batch_cap` / `set_batch_bytes` / `set_pipeline_depth` on the
-//! ordering layer, a verify pool wired by hand — applied after a
-//! positional `Replica::new`. With G groups of n replicas that soup
-//! does not scale: the same configuration must reach G×n places
-//! identically. [`ReplicaConfig`] is the single value that travels:
+//! ordering layer — applied after a positional `Replica::new`. With G
+//! groups of n replicas that soup does not scale: the same
+//! configuration must reach G×n places identically. [`ReplicaConfig`]
+//! is the single value that travels:
 //! [`Replica::with_config`](crate::replica::Replica::with_config)
 //! consumes it directly, and the shard router replicates it across
 //! every group. The old setters survive as thin deprecated shims.
@@ -20,8 +20,8 @@ use crate::replica::DEFAULT_CKPT_INTERVAL;
 use crate::shard_router::ShardId;
 
 /// Complete replica configuration: service identity, checkpoint
-/// cadence, ordering-layer tuning, verification offload, and (for
-/// sharded deployments) the group this replica orders for.
+/// cadence, ordering-layer tuning, and (for sharded deployments) the
+/// group this replica orders for.
 ///
 /// Build by chaining:
 ///
@@ -32,7 +32,6 @@ use crate::shard_router::ShardId;
 ///     .batch_cap(16)
 ///     .batch_bytes(64 << 10)
 ///     .pipeline_depth(2)
-///     .verify_workers(2)
 ///     .seed(7);
 /// assert_eq!(cfg.ckpt_interval, 4);
 /// ```
@@ -46,9 +45,6 @@ pub struct ReplicaConfig {
     pub ckpt_interval: u64,
     /// Ordering-layer hot-path tuning (batching + pipelining).
     pub tuning: AbcTuning,
-    /// Worker threads for off-thread share verification; `0` verifies
-    /// inline on the protocol thread (no pool is spawned).
-    pub verify_workers: usize,
     /// The shard (group) this replica orders for, if any: stamps
     /// per-shard metric labels and is carried by the shard router.
     pub shard: Option<ShardId>,
@@ -63,7 +59,6 @@ impl Default for ReplicaConfig {
             tag: Tag::root("rsm"),
             ckpt_interval: DEFAULT_CKPT_INTERVAL,
             tuning: AbcTuning::default(),
-            verify_workers: 0,
             shard: None,
             seed: 0,
         }
@@ -113,12 +108,6 @@ impl ReplicaConfig {
         self
     }
 
-    /// Sets the off-thread verification worker count (`0` = inline).
-    pub fn verify_workers(mut self, workers: usize) -> ReplicaConfig {
-        self.verify_workers = workers;
-        self
-    }
-
     /// Marks the replica as ordering for shard `shard`.
     pub fn shard(mut self, shard: ShardId) -> ReplicaConfig {
         self.shard = Some(shard);
@@ -155,7 +144,6 @@ mod tests {
         let d = ReplicaConfig::default();
         assert_eq!(d.ckpt_interval, DEFAULT_CKPT_INTERVAL);
         assert_eq!(d.tuning, AbcTuning::default());
-        assert_eq!(d.verify_workers, 0);
         assert!(d.shard.is_none());
 
         let c = ReplicaConfig::new()
@@ -163,14 +151,12 @@ mod tests {
             .batch_cap(3)
             .batch_bytes(1 << 10)
             .pipeline_depth(5)
-            .verify_workers(2)
             .shard(2)
             .seed(99);
         assert_eq!(c.ckpt_interval, 4);
         assert_eq!(c.tuning.batch_cap, 3);
         assert_eq!(c.tuning.batch_bytes, 1 << 10);
         assert_eq!(c.tuning.pipeline_depth, 5);
-        assert_eq!(c.verify_workers, 2);
         assert_eq!(c.shard, Some(2));
         assert_eq!(c.seed, 99);
 

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # sintra-rsm
 //!
 //! Secure state machine replication for **SINTRA-RS** (Cachin,

@@ -22,7 +22,6 @@ use sintra_net::protocol::{Context, Effects, Protocol};
 use sintra_obs::{Event, EventKind, Layer};
 use sintra_protocols::abc::{AbcMessage, AtomicBroadcast};
 use sintra_protocols::common::{digest, Digest, Outbox, Tag};
-use sintra_protocols::pool::VerifyPool;
 use sintra_protocols::scabc::{ScabcMessage, SecureCausalAtomicBroadcast};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -92,9 +91,8 @@ pub trait OrderingLayer: core::fmt::Debug {
     /// window re-seeded from `dedup`.
     fn fast_forward(&mut self, next_seq: u64, next_round: u64, dedup: &[(u64, Digest)]);
 
-    /// Tick hook: lets the transport apply off-thread verification
-    /// verdicts and fire pipelined round transitions. Defaults to a
-    /// no-op for transports without time-driven work.
+    /// Tick hook: lets the transport fire pipelined round transitions.
+    /// Defaults to a no-op for transports without time-driven work.
     fn on_tick(&mut self, _rng: &mut SeededRng, _out: &mut Outbox<Self::Message>) -> Vec<Ordered> {
         Vec::new()
     }
@@ -112,7 +110,7 @@ pub trait OrderingLayer: core::fmt::Debug {
     }
 
     /// Applies the ordering-layer portion of a [`ReplicaConfig`]
-    /// (batching, pipelining, verification offload). Defaults to a
+    /// (batching, pipelining). Defaults to a
     /// no-op for transports without tunables.
     fn apply_config(&mut self, _cfg: &ReplicaConfig) {}
 }
@@ -200,9 +198,6 @@ impl OrderingLayer for AtomicBroadcast {
 
     fn apply_config(&mut self, cfg: &ReplicaConfig) {
         self.tune(&cfg.tuning);
-        if cfg.verify_workers > 0 {
-            self.set_verify_pool(VerifyPool::new(cfg.verify_workers));
-        }
     }
 }
 
@@ -290,12 +285,6 @@ impl OrderingLayer for SecureCausalAtomicBroadcast {
 
     fn apply_config(&mut self, cfg: &ReplicaConfig) {
         self.abc_mut().tune(&cfg.tuning);
-        if cfg.verify_workers > 0 {
-            // Attach at the SCABC level so TDH2 decryption-share
-            // batches go through the pool too, not just the ABC's
-            // signature and coin shares.
-            self.set_verify_pool(VerifyPool::new(cfg.verify_workers));
-        }
     }
 }
 
@@ -1358,9 +1347,9 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
 
     fn handle_tick(&mut self, ctx: &Context, fx: &mut Effects<RsmMessage<L::Message>, Reply>) {
         self.ticks += 1;
-        // Drive the ordering layer's tick first: off-thread verification
-        // verdicts and pipelined round transitions arrive here, so this
-        // must run even when no fetch job is active.
+        // Drive the ordering layer's tick first: pipelined round
+        // transitions arrive here, so this must run even when no fetch
+        // job is active.
         let mut out = Outbox::new(self.public.n());
         let ordered = self.layer.on_tick(&mut self.rng, &mut out);
         for (to, m) in out {
