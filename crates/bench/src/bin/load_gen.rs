@@ -31,11 +31,9 @@
 //! load_gen --smoke         # CI gate: one short n=4 run, asserts a
 //!                          #   requests/s floor, writes nothing
 //! load_gen --floor 25      # override the smoke floor (requests/s)
-//! load_gen --runtime reactor   # transport for --smoke (the full
-//!                              #   sweep measures both runtimes)
 //! ```
 
-use sintra::net::{run_tcp_node_driven, Protocol, TcpNodeConfig, TcpRuntime};
+use sintra::net::{run_tcp_node_driven, Protocol, TcpNodeConfig};
 use sintra::obs::HistogramSnapshot;
 use sintra::rsm::{atomic_replicas_with, KvMachine, ReplicaConfig, RsmNode};
 use sintra::setup::dealt_system;
@@ -77,7 +75,6 @@ struct ConfigResult {
     n: usize,
     t: usize,
     mode: &'static str,
-    runtime: TcpRuntime,
     knobs: Knobs,
     points: Vec<Point>,
 }
@@ -108,15 +105,7 @@ fn build_cluster(n: usize, t: usize, seed: u64, knobs: Knobs) -> Vec<RsmNode> {
 /// Runs one load point: `total` requests split across the replicas,
 /// injected open-loop at `offered_rps` total (`f64::INFINITY` = burst:
 /// everything up front). Returns the measured point.
-fn run_point(
-    n: usize,
-    t: usize,
-    seed: u64,
-    knobs: Knobs,
-    runtime: TcpRuntime,
-    total: u64,
-    offered_rps: f64,
-) -> Point {
+fn run_point(n: usize, t: usize, seed: u64, knobs: Knobs, total: u64, offered_rps: f64) -> Point {
     let nodes = build_cluster(n, t, seed, knobs);
     let addrs = free_addrs(n);
     let paced = offered_rps.is_finite();
@@ -141,7 +130,6 @@ fn run_point(
             let mut cfg = TcpNodeConfig::new(me, addrs, timeout, Duration::from_secs(2));
             cfg.recorder_capacity = Some(RECORDER_CAP);
             cfg.bind_retry = Duration::from_secs(5);
-            cfg.runtime = runtime;
             let started = Instant::now();
             let mut injected: u64 = 0;
             let (report, _node) = run_tcp_node_driven(
@@ -212,15 +200,14 @@ fn run_config(
     t: usize,
     seed: u64,
     knobs: Knobs,
-    runtime: TcpRuntime,
     mode: &'static str,
     budget: u64,
 ) -> ConfigResult {
     eprintln!(
-        "== n={n} t={t} mode={mode} runtime={runtime} (batch_cap={}, K={}) ==",
+        "== n={n} t={t} mode={mode} (batch_cap={}, K={}) ==",
         knobs.batch_cap, knobs.pipeline
     );
-    let cap = run_point(n, t, seed, knobs, runtime, budget, f64::INFINITY);
+    let cap = run_point(n, t, seed, knobs, budget, f64::INFINITY);
     eprintln!(
         "   capacity: {:.1} req/s ({} reqs in {:.2}s, p50 {:.2}ms, p99 {:.2}ms{})",
         cap.achieved_rps,
@@ -234,7 +221,7 @@ fn run_config(
     for frac in [0.3, 0.7] {
         let rate = (cap.achieved_rps * frac).max(2.0);
         let total = ((rate * PACED_SECS) as u64).max(4);
-        let p = run_point(n, t, seed ^ 0x5eed, knobs, runtime, total, rate);
+        let p = run_point(n, t, seed ^ 0x5eed, knobs, total, rate);
         eprintln!(
             "   offered {:.1} req/s: achieved {:.1} req/s, p50 {:.2}ms, p99 {:.2}ms",
             p.offered_rps, p.achieved_rps, p.p50_ms, p.p99_ms
@@ -246,7 +233,6 @@ fn run_config(
         n,
         t,
         mode,
-        runtime,
         knobs,
         points,
     }
@@ -260,13 +246,13 @@ fn json_f(v: f64) -> String {
     }
 }
 
-fn to_json(results: &[ConfigResult], speedup: f64, reactor_ratio: f64) -> String {
+fn to_json(results: &[ConfigResult], speedup: f64) -> String {
     let mut s = String::from("{\n  \"bench\": \"throughput\",\n  \"configs\": [\n");
     for (i, c) in results.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"n\": {}, \"t\": {}, \"mode\": \"{}\", \"runtime\": \"{}\", \
+            "    {{\"n\": {}, \"t\": {}, \"mode\": \"{}\", \
              \"batch_cap\": {}, \"pipeline_depth\": {}, \"points\": [\n",
-            c.n, c.t, c.mode, c.runtime, c.knobs.batch_cap, c.knobs.pipeline
+            c.n, c.t, c.mode, c.knobs.batch_cap, c.knobs.pipeline
         ));
         for (j, p) in c.points.iter().enumerate() {
             s.push_str(&format!(
@@ -288,10 +274,8 @@ fn to_json(results: &[ConfigResult], speedup: f64, reactor_ratio: f64) -> String
         ));
     }
     s.push_str(&format!(
-        "  ],\n  \"speedup_n4_batched_over_unbatched\": {},\n  \
-         \"reactor_over_threaded_n4\": {}\n}}\n",
-        json_f(speedup),
-        json_f(reactor_ratio)
+        "  ],\n  \"speedup_n4_batched_over_unbatched\": {}\n}}\n",
+        json_f(speedup)
     ));
     s
 }
@@ -313,13 +297,6 @@ fn main() {
     let quick = has("--quick");
     let smoke = has("--smoke");
     let seed = val("--seed").map_or(7, |v| v as u64);
-    let runtime: TcpRuntime = args
-        .iter()
-        .position(|a| a == "--runtime")
-        .and_then(|i| args.get(i + 1))
-        .map_or(TcpRuntime::Threaded, |v| {
-            v.parse().expect("--runtime threaded|reactor")
-        });
 
     let batched = Knobs {
         batch_cap: 16,
@@ -335,9 +312,9 @@ fn main() {
     if smoke {
         // CI gate: one short saturated n=4 run must clear the floor.
         let floor = val("--floor").unwrap_or(25.0);
-        let p = run_point(4, 1, seed, batched, runtime, 200, f64::INFINITY);
+        let p = run_point(4, 1, seed, batched, 200, f64::INFINITY);
         println!(
-            "smoke[{runtime}]: {:.1} req/s over {} requests (p50 {:.2}ms, p99 {:.2}ms, floor {floor})",
+            "smoke: {:.1} req/s over {} requests (p50 {:.2}ms, p99 {:.2}ms, floor {floor})",
             p.achieved_rps, p.total, p.p50_ms, p.p99_ms
         );
         assert!(
@@ -362,15 +339,7 @@ fn main() {
 
     let mut results = Vec::new();
     for &(n, t) in CONFIGS {
-        results.push(run_config(
-            n,
-            t,
-            seed,
-            batched,
-            TcpRuntime::Threaded,
-            "batched",
-            budget(n),
-        ));
+        results.push(run_config(n, t, seed, batched, "batched", budget(n)));
     }
     let baseline_budget = if quick { 40 } else { 120 };
     results.push(run_config(
@@ -378,29 +347,14 @@ fn main() {
         1,
         seed,
         unbatched,
-        TcpRuntime::Threaded,
         "unbatched",
         baseline_budget,
     ));
-    // Reactor rows at the sweep's extremes: n=4 for the committed
-    // reactor-vs-threaded gate, n=16 where thread-per-peer overhead
-    // is largest.
-    for &(n, t) in &[(4, 1), (16, 5)] {
-        results.push(run_config(
-            n,
-            t,
-            seed,
-            batched,
-            TcpRuntime::Reactor,
-            "batched",
-            budget(n),
-        ));
-    }
 
     let batched_n4 = peak(
         results
             .iter()
-            .find(|c| c.n == 4 && c.mode == "batched" && c.runtime == TcpRuntime::Threaded)
+            .find(|c| c.n == 4 && c.mode == "batched")
             .expect("n=4"),
     );
     let unbatched_n4 = peak(
@@ -409,22 +363,12 @@ fn main() {
             .find(|c| c.mode == "unbatched")
             .expect("baseline"),
     );
-    let reactor_n4 = peak(
-        results
-            .iter()
-            .find(|c| c.n == 4 && c.runtime == TcpRuntime::Reactor)
-            .expect("reactor n=4"),
-    );
     let speedup = batched_n4 / unbatched_n4;
-    let reactor_ratio = reactor_n4 / batched_n4;
     println!(
         "n=4 batched {batched_n4:.1} req/s vs unbatched {unbatched_n4:.1} req/s: {speedup:.1}x"
     );
-    println!(
-        "n=4 reactor {reactor_n4:.1} req/s vs threaded {batched_n4:.1} req/s: {reactor_ratio:.2}x"
-    );
 
-    let json = to_json(&results, speedup, reactor_ratio);
+    let json = to_json(&results, speedup);
     std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
     println!("wrote BENCH_throughput.json");
 }

@@ -8,7 +8,6 @@
 //! cargo run --release -p bench --bin tcp_chaos              # all scenarios
 //! cargo run --release -p bench --bin tcp_chaos -- --quick   # CI smoke
 //! cargo run --release -p bench --bin tcp_chaos -- --scenario restarts
-//! cargo run --release -p bench --bin tcp_chaos -- --runtime reactor
 //! ```
 //!
 //! Three scenarios, each a safety + liveness check:
@@ -42,9 +41,7 @@ use std::time::{Duration, Instant};
 
 use sintra::crypto::hash::Sha256;
 use sintra::net::protocol::Protocol;
-use sintra::net::{
-    run_tcp_node_driven, ChaosConfig, LinkFaults, Partition, TcpNodeConfig, TcpRuntime,
-};
+use sintra::net::{run_tcp_node_driven, ChaosConfig, LinkFaults, Partition, TcpNodeConfig};
 use sintra::rsm::{rsm_build, KvMachine, OrderingLayer, StateMachine};
 
 /// Replicas in the campaign (the standard 4-of-which-1-may-fail setup).
@@ -75,7 +72,6 @@ struct Args {
     linger_ms: u64,
     part_ms: (u64, u64),
     quick: bool,
-    runtime: TcpRuntime,
 }
 
 fn parse_args() -> Args {
@@ -89,7 +85,6 @@ fn parse_args() -> Args {
         linger_ms: 0,
         part_ms: (0, 0),
         quick: false,
-        runtime: TcpRuntime::Threaded,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -116,9 +111,6 @@ fn parse_args() -> Args {
                 args.part_ms = (a.parse().expect("--part-ms"), b.parse().expect("--part-ms"));
             }
             "--quick" => args.quick = true,
-            "--runtime" => {
-                args.runtime = value().parse().expect("--runtime threaded|reactor");
-            }
             other => panic!("unknown flag {other}"),
         }
     }
@@ -214,7 +206,6 @@ fn run_replica(me: usize, args: &Args) {
     );
     cfg.chaos = chaos_for(args, me);
     cfg.bind_retry = Duration::from_secs(10);
-    cfg.runtime = args.runtime;
 
     let target = args.target as u64;
     let pace = Duration::from_millis(args.pace_ms);
@@ -317,7 +308,6 @@ fn spawn_replica(
     ports_arg: &str,
     seed: u64,
     p: &Params,
-    runtime: TcpRuntime,
 ) -> ChildProc {
     let mut child = Command::new(exe)
         .args(["--replica", &i.to_string()])
@@ -328,7 +318,6 @@ fn spawn_replica(
         .args(["--pace-ms", &p.pace_ms.to_string()])
         .args(["--linger-ms", &p.linger_ms.to_string()])
         .args(["--part-ms", &format!("{},{}", p.part_ms.0, p.part_ms.1)])
-        .args(["--runtime", &runtime.to_string()])
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -470,12 +459,7 @@ fn outcome(
 /// second kill is gated on the first victim proving it rejoined
 /// (applied > 0 after restarting empty), so the mesh always keeps a
 /// qualified quorum and the scenario tests recovery, not mere survival.
-fn scenario_restarts(
-    exe: &std::path::Path,
-    seed: u64,
-    quick: bool,
-    runtime: TcpRuntime,
-) -> ScenarioOutcome {
+fn scenario_restarts(exe: &std::path::Path, seed: u64, quick: bool) -> ScenarioOutcome {
     let p = Params::new("restarts", quick);
     let started = Instant::now();
     let ports = free_ports(N);
@@ -485,7 +469,7 @@ fn scenario_restarts(
         .collect::<Vec<_>>()
         .join(",");
     let mut procs: Vec<ChildProc> = (0..N)
-        .map(|i| spawn_replica(exe, "restarts", i, &ports_arg, seed, &p, runtime))
+        .map(|i| spawn_replica(exe, "restarts", i, &ports_arg, seed, &p))
         .collect();
 
     let gate1 = u64::from(p.target / 5).max(2);
@@ -496,7 +480,7 @@ fn scenario_restarts(
     println!("  SIGKILL replica 3 (applied ≥ {gate1}, round {round_at_kill1})");
     kill_and_reap(&mut procs[3], 3);
     thread::sleep(RESTART_AFTER);
-    procs[3] = spawn_replica(exe, "restarts", 3, &ports_arg, seed, &p, runtime);
+    procs[3] = spawn_replica(exe, "restarts", 3, &ports_arg, seed, &p);
     println!("  restarted replica 3");
 
     let gate2 = u64::from(p.target / 2).max(4);
@@ -512,7 +496,7 @@ fn scenario_restarts(
     println!("  SIGKILL replica 2 (applied ≥ {gate2}, round {round_at_kill2})");
     kill_and_reap(&mut procs[2], 2);
     thread::sleep(RESTART_AFTER);
-    procs[2] = spawn_replica(exe, "restarts", 2, &ports_arg, seed, &p, runtime);
+    procs[2] = spawn_replica(exe, "restarts", 2, &ports_arg, seed, &p);
     println!("  restarted replica 2");
 
     let states: Vec<StateLine> = procs
@@ -533,12 +517,7 @@ fn scenario_restarts(
 /// A scheduled `{0,1} | {2,3}` split: with `t = 1` neither half is a
 /// qualified quorum, so ordering stalls until the window closes; the
 /// backlog must then order and all four replicas converge.
-fn scenario_partition(
-    exe: &std::path::Path,
-    seed: u64,
-    quick: bool,
-    runtime: TcpRuntime,
-) -> ScenarioOutcome {
+fn scenario_partition(exe: &std::path::Path, seed: u64, quick: bool) -> ScenarioOutcome {
     let p = Params::new("partition", quick);
     let started = Instant::now();
     let ports = free_ports(N);
@@ -548,7 +527,7 @@ fn scenario_partition(
         .collect::<Vec<_>>()
         .join(",");
     let mut procs: Vec<ChildProc> = (0..N)
-        .map(|i| spawn_replica(exe, "partition", i, &ports_arg, seed, &p, runtime))
+        .map(|i| spawn_replica(exe, "partition", i, &ports_arg, seed, &p))
         .collect();
 
     // Sample the round watermark mid-window; post-heal progress must
@@ -583,12 +562,7 @@ fn scenario_partition(
 /// inversions, connection resets, and a byte-rate throttle. Nothing is
 /// lost permanently, so convergence is mandatory — and the summed chaos
 /// counters prove the faults actually fired.
-fn scenario_flaky(
-    exe: &std::path::Path,
-    seed: u64,
-    quick: bool,
-    runtime: TcpRuntime,
-) -> ScenarioOutcome {
+fn scenario_flaky(exe: &std::path::Path, seed: u64, quick: bool) -> ScenarioOutcome {
     let p = Params::new("flaky", quick);
     let started = Instant::now();
     let ports = free_ports(N);
@@ -598,7 +572,7 @@ fn scenario_flaky(
         .collect::<Vec<_>>()
         .join(",");
     let mut procs: Vec<ChildProc> = (0..N)
-        .map(|i| spawn_replica(exe, "flaky", i, &ports_arg, seed, &p, runtime))
+        .map(|i| spawn_replica(exe, "flaky", i, &ports_arg, seed, &p))
         .collect();
     let states: Vec<StateLine> = procs
         .iter_mut()
@@ -615,13 +589,7 @@ fn scenario_flaky(
     outcome("flaky", &p, &states, started, 0, 0)
 }
 
-fn write_report(
-    path: &str,
-    seed: u64,
-    quick: bool,
-    runtime: TcpRuntime,
-    outcomes: &[ScenarioOutcome],
-) {
+fn write_report(path: &str, seed: u64, quick: bool, outcomes: &[ScenarioOutcome]) {
     let scenarios = outcomes
         .iter()
         .map(|o| {
@@ -654,7 +622,7 @@ fn write_report(
         .join(",\n");
     let json = format!(
         "{{\n  \"bench\": \"tcp_chaos\",\n  \"n\": {N},\n  \"t\": 1,\n  \
-         \"seed\": {seed},\n  \"quick\": {quick},\n  \"runtime\": \"{runtime}\",\n  \
+         \"seed\": {seed},\n  \"quick\": {quick},\n  \
          \"scenarios\": [\n{scenarios}\n  ]\n}}\n"
     );
     std::fs::write(path, json).expect("write chaos report");
@@ -678,11 +646,11 @@ fn main() {
         if args.scenario.as_deref().is_some_and(|s| s != name) {
             continue;
         }
-        println!("=== scenario {name} [{}] ===", args.runtime);
+        println!("=== scenario {name} ===");
         let o = match name {
-            "restarts" => scenario_restarts(&exe, args.seed, args.quick, args.runtime),
-            "partition" => scenario_partition(&exe, args.seed, args.quick, args.runtime),
-            _ => scenario_flaky(&exe, args.seed, args.quick, args.runtime),
+            "restarts" => scenario_restarts(&exe, args.seed, args.quick),
+            "partition" => scenario_partition(&exe, args.seed, args.quick),
+            _ => scenario_flaky(&exe, args.seed, args.quick),
         };
         println!(
             "  ok: {} requests applied on all {N} replicas, digest {}…, \
@@ -694,12 +662,6 @@ fn main() {
         );
         outcomes.push(o);
     }
-    write_report(
-        "BENCH_chaos.json",
-        args.seed,
-        args.quick,
-        args.runtime,
-        &outcomes,
-    );
+    write_report("BENCH_chaos.json", args.seed, args.quick, &outcomes);
     println!("tcp_chaos passed: {} scenario(s)", outcomes.len());
 }

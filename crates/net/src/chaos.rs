@@ -29,8 +29,8 @@
 //! * **Reset** closes the connection *before* the frame is written; the
 //!   frame survives and is retransmitted after redial. Unbudgeted —
 //!   resets cost latency, not delivery.
-//! * **Delay** sleeps the writer a bounded random interval, modeling a
-//!   slow link; **throttle** bounds the link's bytes/ms after every
+//! * **Delay** holds the frame back a bounded random interval, modeling
+//!   a slow link; **throttle** bounds the link's bytes/ms after every
 //!   write. Both reorder nothing by themselves.
 //! * **Reorder** holds a frame back and releases it after the next
 //!   frame passes — a genuine inversion on the wire, not just jitter.
@@ -178,8 +178,8 @@ impl ChaosCounters {
     }
 }
 
-/// What a writer must do with one queued frame after the interposer
-/// rolled its faults: optionally tear the connection down first, sleep
+/// What the link must do with one queued frame after the interposer
+/// rolled its faults: optionally tear the connection down first, wait
 /// `delay`, then write `frames` in order (empty if the frame was
 /// dropped or held for reordering).
 #[derive(Debug)]
@@ -193,7 +193,7 @@ pub struct FramePlan {
 }
 
 /// The per-link interposer: owns the link's seeded generator, fault
-/// budgets, and reorder slot. Owned by one writer thread — decisions
+/// budgets, and reorder slot. Owned by the event loop — decisions
 /// are drawn per frame in queue order, which makes the fault sequence
 /// a pure function of `(seed, me, peer)`.
 #[derive(Debug)]
@@ -248,7 +248,7 @@ impl LinkChaos {
     }
 
     /// Whether any fault besides partitions is configured (if not, the
-    /// writer may keep its coalescing fast path).
+    /// link may keep its coalescing fast path).
     pub fn frame_faults_active(&self) -> bool {
         !self.faults.is_none()
     }

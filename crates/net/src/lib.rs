@@ -49,8 +49,7 @@ pub use sim::{
     PartitionScheduler, RandomScheduler, Scheduler, SimStats, Simulation, TargetedDelayScheduler,
 };
 pub use tcp_runtime::{
-    run_tcp, run_tcp_node, run_tcp_node_driven, run_tcp_observed, run_tcp_observed_with,
-    run_tcp_with, HandshakeError, LinkState, TcpNodeConfig, TcpNodeReport, TcpRuntime,
-    DEFAULT_QUEUE_BYTES,
+    run_tcp, run_tcp_node, run_tcp_node_driven, run_tcp_observed, HandshakeError, LinkState,
+    TcpNodeConfig, TcpNodeReport, TcpRuntime, DEFAULT_QUEUE_BYTES,
 };
 pub use thread_runtime::{run_threaded, ThreadRunReport};

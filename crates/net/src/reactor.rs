@@ -1,8 +1,7 @@
-//! Nonblocking epoll reactor runtime: the thread-per-peer transport's
-//! replacement for meshes where O(n) blocked threads per node is real
-//! money (`shard_cluster` runs G·n replicas in one process — at G=4,
-//! n=16 the threaded runtime is thousands of OS threads; the reactor
-//! is one event-loop thread per replica, total).
+//! Nonblocking epoll reactor: the TCP transport of every mesh node.
+//! One event-loop thread per replica drives all of its sockets, so a
+//! process hosting many replicas (`shard_cluster` runs G·n of them)
+//! pays one I/O thread per replica whatever the mesh size.
 //!
 //! ## Ownership rules
 //!
@@ -10,40 +9,38 @@
 //! buffer pool, and every per-peer state machine. Other threads
 //! interact through two narrow edges only:
 //!
-//! * outbound: the protocol thread pushes framed bytes into the same
-//!   bounded drop-oldest [`Lane`]s the threaded runtime uses, then
-//!   rings an eventfd doorbell; the loop drains lanes from inside.
+//! * outbound: the protocol thread pushes framed bytes into a bounded
+//!   drop-oldest [`Lane`] per peer, then rings an eventfd doorbell if
+//!   the loop is parked; the loop drains lanes from inside.
 //! * inbound: the loop decodes frames and sends them up a crossbeam
-//!   channel; `recv_timeout` on the mesh handle is unchanged.
+//!   channel that `recv_timeout` on the mesh handle reads.
 //!
 //! That single-owner rule is what lets every socket run nonblocking
 //! without locks: there is no state a readiness callback could race.
 //!
 //! ## Per-peer outbound state machine
 //!
-//! Idle → Connecting → Up, with Down recorded in the shared
-//! [`LinkSupervisor`] exactly as the threaded writer does it. Dials
-//! are nonblocking (`SOCK_NONBLOCK` + `EINPROGRESS`, see
-//! [`crate::sys`]) with a hard [`DIAL_TIMEOUT`] deadline and the same
-//! jittered exponential backoff; a completed dial queues the 8-byte
-//! handshake as the first wire item. Inbound connections mirror the
-//! acceptor: handshake with deadline, then framed reads; a fresh
-//! handshake from a peer evicts that peer's previous connection — the
-//! reactor-native form of reader reaping (no thread can leak by
-//! construction, but the fd would linger).
+//! Idle → Connecting → Up, with Connecting/Up/Down published in the
+//! shared [`LinkSupervisor`]. Dials are nonblocking (`SOCK_NONBLOCK` +
+//! `EINPROGRESS`, see [`crate::sys`]) with a hard [`DIAL_TIMEOUT`]
+//! deadline, and a failed dial backs off exponentially with jitter; a
+//! completed dial queues the 8-byte handshake as the first wire item.
+//! Inbound connections get a handshake deadline, then framed reads; a
+//! fresh handshake from a peer evicts that peer's previous connection,
+//! so a peer that reconnects without closing cannot leave its old fd
+//! registered.
 //!
 //! ## How chaos interposes on a nonblocking write path
 //!
-//! The threaded writer *sleeps* for chaos delays and throttles; an
-//! event loop must never sleep. Instead each planned frame carries a
-//! release instant: delayed frames sit in a per-peer deferred queue
-//! (released in FIFO order — a later frame is never released before
-//! an earlier one), throttles set a per-peer mute-until instant, and
-//! partitions simply close the socket and stop draining the lane, so
-//! frames wait under the lane's bounded drop-oldest policy exactly as
-//! on the threaded path. Fault *decisions* still come from
-//! [`LinkChaos::plan`] in lane order, so the fault sequence for a
-//! given `(seed, me, peer)` is identical across runtimes.
+//! An event loop must never sleep, so chaos delays and throttles are
+//! timers: each planned frame carries a release instant, delayed
+//! frames sit in a per-peer deferred queue (released in FIFO order — a
+//! later frame is never released before an earlier one), throttles set
+//! a per-peer mute-until instant, and partitions close the socket and
+//! stop draining the lane, so frames wait under the lane's bounded
+//! drop-oldest policy. Fault *decisions* come from [`LinkChaos::plan`]
+//! in lane order, so the fault sequence for a given `(seed, me, peer)`
+//! is fixed by the seed.
 //!
 //! ## Zero-copy inbound decode
 //!
@@ -61,8 +58,8 @@ use crate::sys::{
     EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::tcp_runtime::{
-    parse_handshake, Lane, LinkState, LinkSupervisor, MeshStats, ReactorStats, BACKOFF_MAX,
-    BACKOFF_MIN, COALESCE_BYTES, DIAL_TIMEOUT, HANDSHAKE_DEADLINE, HEARTBEAT_EVERY, MAGIC,
+    parse_handshake, Lane, LinkState, LinkSupervisor, MeshStats, BACKOFF_MAX, BACKOFF_MIN,
+    COALESCE_BYTES, DIAL_TIMEOUT, HANDSHAKE_DEADLINE, HEARTBEAT_EVERY, MAGIC,
 };
 use bytes::{BufPool, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -111,9 +108,9 @@ struct SharedStats {
     parked: AtomicBool,
 }
 
-/// The reactor-backed mesh handle: API-identical to the threaded
-/// `TcpMesh`, so the node loops dispatch to either through
-/// [`crate::tcp_runtime::Mesh`] without caring which is underneath.
+/// One replica's mesh handle: the node loops in
+/// [`crate::tcp_runtime`] send, receive and read link state through
+/// it while the event loop runs the sockets.
 pub(crate) struct ReactorMesh<M> {
     me: PartyId,
     epoch: Instant,
@@ -192,8 +189,8 @@ impl<M: WireCodec + Send + 'static> ReactorMesh<M> {
                 next_dial: Instant::now(),
                 last_write: Instant::now(),
                 throttle_until: Instant::now(),
-                // Same decorrelation as the threaded writer: seeded off
-                // the pid so survivors of a crash don't redial a
+                // Jitter decorrelates *processes*, not replays: seeded
+                // off the pid so survivors of a crash don't redial a
                 // restarted replica in lockstep.
                 jitter: SeededRng::new(
                     (std::process::id() as u64) << 32 | ((me as u64) << 16) | peer as u64,
@@ -305,20 +302,23 @@ impl<M: WireCodec + Send + 'static> ReactorMesh<M> {
             outbound_dropped: self.outbound_dropped.load(Ordering::Relaxed),
             lane_poisoned: self.lane_poisoned.load(Ordering::Relaxed),
             chaos: self.chaos_counters.snapshot(),
-            reactor: ReactorStats {
-                fds_peak: self.stats.fds_peak.load(Ordering::Relaxed),
-                wakeups: self.stats.wakeups.load(Ordering::Relaxed),
-                pool_allocations: self.stats.pool_allocations.load(Ordering::Relaxed),
-                pool_recycles: self.stats.pool_recycles.load(Ordering::Relaxed),
-            },
+            fds_peak: self.stats.fds_peak.load(Ordering::Relaxed),
+            wakeups: self.stats.wakeups.load(Ordering::Relaxed),
+            pool_allocations: self.stats.pool_allocations.load(Ordering::Relaxed),
+            pool_recycles: self.stats.pool_recycles.load(Ordering::Relaxed),
         }
+    }
+
+    /// The outbound lane toward `peer` (tests inspect and poison it).
+    #[cfg(test)]
+    pub(crate) fn lane(&self, peer: PartyId) -> &Arc<Lane> {
+        self.lanes[peer].as_ref().expect("remote peer")
     }
 }
 
 /// One wire item: bytes that must reach the peer contiguously
-/// (a frame, the handshake preamble, or a heartbeat). `counted` keeps
-/// byte accounting identical to the threaded runtime, which tallies
-/// data frames only.
+/// (a frame, the handshake preamble, or a heartbeat). Only `counted`
+/// items (data frames) go into `net.tcp_bytes_sent`.
 struct WireItem {
     buf: Vec<u8>,
     counted: bool,
@@ -625,7 +625,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
             ReadVerdict::KeepOpen => {}
             ReadVerdict::Close => {
                 // Dying before the preamble completes is a truncated
-                // handshake — counted, like the threaded acceptor.
+                // handshake, and counted as a reject.
                 if peer.is_none() && fresh.is_none() {
                     self.stats.handshake_rejects.fetch_add(1, Ordering::Relaxed);
                 }
@@ -803,7 +803,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
             .sum::<usize>()
             .saturating_sub(o.woff);
         if o.raw.is_empty() && o.deferred.is_empty() && pending < COALESCE_BYTES {
-            let (frames, _) = o.lane.pop_batch(COALESCE_BYTES, Duration::ZERO);
+            let (frames, _) = o.lane.pop_batch(COALESCE_BYTES);
             o.raw.extend(frames);
         }
         let mut reset = false;
@@ -830,7 +830,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
         }
         if reset && !matches!(o.state, OutState::Idle) {
             self.drop_out_socket(&mut o);
-            o.next_dial = now; // redial promptly, like the threaded reset
+            o.next_dial = now; // a reset redials promptly, not after backoff
         }
         Self::release_due(&mut o, now);
 
@@ -854,7 +854,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
                     // Redial even when idle (heartbeats + link-up
                     // probes must resume on a quiet mesh); at shutdown
                     // a final dial gets pending frames out, and its
-                    // failure abandons them like the threaded writer.
+                    // failure abandons them.
                     self.start_dial(&mut o);
                 }
             }
@@ -1128,7 +1128,7 @@ impl<M: WireCodec + Send + 'static> EventLoop<M> {
     /// nothing rolled or deferred, nothing counted half-written.
     fn drained(&mut self) -> bool {
         for o in self.outs.iter_mut().flatten() {
-            let (frames, lane_drained) = o.lane.pop_batch(usize::MAX, Duration::ZERO);
+            let (frames, lane_drained) = o.lane.pop_batch(usize::MAX);
             o.raw.extend(frames);
             if !lane_drained || o.has_undelivered() {
                 return false;
