@@ -10,7 +10,7 @@
 //! adversary schedules every message, may delay any link arbitrarily
 //! (but must eventually deliver between honest parties), and fully
 //! controls corrupted servers. This crate substitutes for an Internet
-//! deployment with two runtimes that realize exactly that model:
+//! deployment in two ways:
 //!
 //! * [`sim`] — a deterministic discrete-event simulator whose
 //!   [`sim::Scheduler`] *is* the adversary: uniformly random, FIFO/LIFO,
@@ -18,8 +18,9 @@
 //!   adaptive strategies with full view of message contents. Runs replay
 //!   bit-identically from a seed, which is what the experiment harness
 //!   needs.
-//! * [`thread_runtime`] — the same automata on real OS threads with
-//!   jittered routing, for integration tests under genuine concurrency.
+//! * [`tcp_runtime`] — the same automata on real OS threads over real
+//!   sockets, one node loop per replica driven by an epoll event loop
+//!   ([`reactor`]), with seeded link faults from [`chaos`].
 //!
 //! Protocols are written once against the [`protocol::Protocol`]
 //! automaton trait and run unchanged under both.
@@ -34,7 +35,8 @@ pub mod shard;
 pub mod sim;
 pub mod sys;
 pub mod tcp_runtime;
-pub mod thread_runtime;
+#[cfg(test)]
+mod thread_runtime;
 
 pub use campaign::{
     replay_case, run_campaign, BehaviorKind, CampaignHooks, CampaignPlan, CampaignReport, CaseId,
@@ -49,7 +51,6 @@ pub use sim::{
     PartitionScheduler, RandomScheduler, Scheduler, SimStats, Simulation, TargetedDelayScheduler,
 };
 pub use tcp_runtime::{
-    run_tcp, run_tcp_node, run_tcp_node_driven, run_tcp_observed, HandshakeError, LinkState,
-    TcpNodeConfig, TcpNodeReport, TcpRuntime, DEFAULT_QUEUE_BYTES,
+    run_tcp_loopback, run_tcp_node, run_tcp_node_driven, HandshakeError, LinkState, TcpNodeConfig,
+    TcpNodeReport, TcpRuntime, DEFAULT_QUEUE_BYTES,
 };
-pub use thread_runtime::{run_threaded, ThreadRunReport};

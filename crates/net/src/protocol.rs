@@ -7,7 +7,7 @@
 //! exactly the asynchronous model of §2.2: correctness must hold under
 //! every message schedule, so the same automaton code runs unchanged
 //! under the deterministic simulator (with any adversarial scheduler)
-//! and under the real-thread runtime.
+//! and over real sockets on the TCP runtime.
 //!
 //! The single concession to non-asynchronous designs is
 //! [`Protocol::on_tick`], a no-op by default, which lets the
@@ -32,8 +32,9 @@ pub struct Context {
     pub me: PartyId,
     /// Number of parties in the group.
     pub n: usize,
-    /// Current simulator step (or a wall-clock ns reading under the
-    /// thread runtime); 0 when the runtime has no notion of time yet.
+    /// Current simulator step (or, on the TCP runtime, nanoseconds of
+    /// wall clock since the node started); 0 when the runtime has no
+    /// notion of time yet.
     pub at: u64,
     /// This node's observability handle (disabled ⇒ all recording is a
     /// no-op).
@@ -109,17 +110,6 @@ impl<M, O> Effects<M, O> {
         let n = self
             .n
             .expect("Effects::broadcast needs a group size: build with Effects::for_parties(n)");
-        for to in 0..n {
-            self.sends.push((to, msg.clone()));
-        }
-    }
-
-    /// Queues the same message to every party in `0..n`.
-    #[deprecated(since = "0.1.0", note = "use `broadcast(msg)`; the runtime knows `n`")]
-    pub fn send_all(&mut self, n: usize, msg: M)
-    where
-        M: Clone,
-    {
         for to in 0..n {
             self.sends.push((to, msg.clone()));
         }
@@ -315,14 +305,5 @@ mod tests {
     fn broadcast_without_group_size_panics() {
         let mut fx: Effects<String, (PartyId, String)> = Effects::new();
         fx.broadcast("boom".into());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_send_all_still_works() {
-        let mut fx: Effects<String, (PartyId, String)> = Effects::new();
-        #[allow(deprecated)]
-        fx.send_all(2, "m".into());
-        assert_eq!(fx.sends().len(), 2);
     }
 }

@@ -491,15 +491,6 @@ impl<P: Protocol, S: Scheduler<P::Message>> Simulation<P, S> {
         }
     }
 
-    /// Creates a simulation over the given replicas.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Simulation::builder(nodes, scheduler).seed(seed).build()`"
-    )]
-    pub fn new(nodes: Vec<P>, scheduler: S, seed: u64) -> Self {
-        Simulation::builder(nodes, scheduler).seed(seed).build()
-    }
-
     /// Installs a wire-size meter; every remote send is measured into
     /// [`SimStats::bytes_sent`].
     pub fn set_meter(&mut self, meter: impl Fn(&P::Message) -> usize + Send + 'static) {

@@ -2,25 +2,21 @@
 //!
 //! The paper's deployment target (§2.1) is n servers connected by an
 //! *asynchronous point-to-point network* — the open Internet. The
-//! deterministic simulator and the crossbeam thread runtime substitute
-//! for that network in tests; this module closes the last gap by
-//! running the automata over genuine TCP sockets with length-prefixed
-//! binary frames (see [`crate::codec`]), so a message must actually
-//! survive serialization, the kernel socket buffers, and a hostile
-//! peer's framing before a protocol acts on it.
+//! deterministic simulator substitutes for that network in tests; this
+//! module closes the gap by running the automata over genuine TCP
+//! sockets with length-prefixed binary frames (see [`crate::codec`]),
+//! so a message must actually survive serialization, the kernel socket
+//! buffers, and a hostile peer's framing before a protocol acts on it.
 //!
-//! Two entry points:
-//!
-//! * [`run_tcp`] / [`run_tcp_observed`] — in-process harness mirroring
-//!   [`run_threaded`](crate::thread_runtime::run_threaded): n nodes on
-//!   ephemeral loopback ports, one OS thread per node plus its mesh's
-//!   event loop, a stop predicate over the global outputs.
-//! * [`run_tcp_node`] / [`run_tcp_node_driven`] — a *single* replica
-//!   given explicit peer addresses, for true multi-process deployments
-//!   (each OS process runs one replica; see `bench`'s `tcp_cluster`
-//!   and `tcp_chaos` binaries). The stop predicate only sees local
-//!   state, and a configurable linger keeps the replica forwarding
-//!   traffic after it has decided so slower peers can finish.
+//! One node loop, [`run_tcp_node_driven`], runs an automaton on real
+//! threads: a *single* replica given explicit peer addresses, for true
+//! multi-process deployments (each OS process runs one replica; see
+//! `bench`'s `tcp_cluster` and `tcp_chaos` binaries). The stop
+//! predicate only sees local state, and a configurable linger keeps the
+//! replica forwarding traffic after it has decided so slower peers can
+//! finish. [`run_tcp_node`] feeds it a fixed input vector, and
+//! [`run_tcp_loopback`] starts one such node per party on ephemeral
+//! loopback ports for in-process tests.
 //!
 //! ## Mesh layout
 //!
@@ -69,14 +65,12 @@ use crate::chaos::ChaosConfig;
 use crate::codec::{WireCodec, MAX_FRAME};
 use crate::protocol::{Context, Effects, Protocol};
 use crate::reactor::ReactorMesh;
-use crate::thread_runtime::ThreadRunReport;
-use parking_lot::Mutex;
 use sintra_adversary::party::PartyId;
 use sintra_obs::{Layer, MetricsSnapshot, Obs};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -134,9 +128,10 @@ pub(crate) fn parse_handshake(hs: &[u8; 8], n: usize) -> Result<PartyId, Handsha
 /// this many bytes at a time, and writes them with one `writev`.
 pub(crate) const COALESCE_BYTES: usize = 64 * 1024;
 
-/// Node-loop granularity: inbox poll timeout and tick period, matching
-/// the thread runtime so tick-counted protocol timeouts behave the
-/// same on both runtimes.
+/// Node-loop granularity: inbox poll timeout and tick period.
+/// Tick-driven logic (fdabc suspect timers, optimistic fallback
+/// timeouts) counts ticks, not wall time, so this period only scales
+/// those protocols' timeouts.
 pub(crate) const TICK_EVERY: Duration = Duration::from_millis(5);
 
 /// Default per-peer outbound queue cap. Roomy next to [`MAX_FRAME`]
@@ -374,8 +369,9 @@ pub struct TcpNodeConfig {
     /// predicate holds, so peers still mid-protocol can finish.
     pub linger: Duration,
     /// `Some(capacity)` enables per-node observability (flight
-    /// recorder + metrics), as in
-    /// [`run_threaded_observed`](crate::thread_runtime::run_threaded_observed).
+    /// recorder + metrics): message and tick counters, wall-clock
+    /// handling latency (`net.handle_ns`) and the mesh's teardown
+    /// counters.
     pub recorder_capacity: Option<usize>,
     /// Seeded link-fault schedule for this node's outbound links;
     /// `None` runs a clean network.
@@ -723,191 +719,60 @@ where
     ))
 }
 
-/// Runs `nodes` against each other over loopback TCP until `stop`
-/// holds over the global output vectors or `timeout` elapses — the
-/// socket-backed mirror of
-/// [`run_threaded`](crate::thread_runtime::run_threaded).
+/// Runs one [`run_tcp_node`] per party on its own thread over loopback
+/// and joins them all — the in-process harness for real-thread tests.
+/// Each party gets an ephemeral port; a `None` entry is never started,
+/// so its port refuses connections like a crashed replica's. Every node
+/// stops on its own outputs, then lingers. `configure` adjusts each
+/// party's [`TcpNodeConfig`] (30 s timeout, 300 ms linger) before it
+/// starts. Reports come back indexed by party.
 ///
 /// # Errors
 ///
-/// Returns an error if binding the loopback listeners fails.
-pub fn run_tcp<P>(
-    nodes: Vec<P>,
-    inputs: Vec<(PartyId, P::Input)>,
-    stop: impl Fn(&[Vec<P::Output>]) -> bool,
-    timeout: Duration,
-) -> io::Result<ThreadRunReport<P::Output>>
+/// Returns the first local socket setup failure (bind).
+pub fn run_tcp_loopback<P>(
+    nodes: Vec<Option<(P, Vec<P::Input>)>>,
+    stop: impl Fn(&[P::Output]) -> bool + Sync,
+    configure: impl Fn(&mut TcpNodeConfig),
+) -> io::Result<Vec<Option<TcpNodeReport<P::Output>>>>
 where
-    P: Protocol + Send + 'static,
+    P: Protocol + Send,
     P::Message: WireCodec + Send + 'static,
-    P::Input: Send + 'static,
-    P::Output: Clone + Send + 'static,
+    P::Input: Send,
+    P::Output: Send,
 {
-    run_tcp_observed(nodes, inputs, stop, timeout, None)
-}
-
-/// [`run_tcp`] with per-node instrumentation (see
-/// [`run_threaded_observed`](crate::thread_runtime::run_threaded_observed));
-/// additionally folds the mesh counters into each node's metrics
-/// (`net.tcp_bytes_sent` / `net.tcp_bytes_recv`, rejects, drops, and
-/// the event loop's wake-ups and fd peak).
-///
-/// # Errors
-///
-/// Returns an error if binding the loopback listeners fails.
-pub fn run_tcp_observed<P>(
-    nodes: Vec<P>,
-    inputs: Vec<(PartyId, P::Input)>,
-    stop: impl Fn(&[Vec<P::Output>]) -> bool,
-    timeout: Duration,
-    recorder_capacity: Option<usize>,
-) -> io::Result<ThreadRunReport<P::Output>>
-where
-    P: Protocol + Send + 'static,
-    P::Message: WireCodec + Send + 'static,
-    P::Input: Send + 'static,
-    P::Output: Clone + Send + 'static,
-{
-    let n = nodes.len();
-    // Bind every listener first so the addresses exist before any node
-    // dials out.
-    let mut listeners = Vec::with_capacity(n);
-    let mut addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        addrs.push(listener.local_addr()?);
-        listeners.push(listener);
-    }
-
-    let obs: Vec<Obs> = match recorder_capacity {
-        Some(cap) => (0..n).map(|_| Obs::enabled(cap)).collect(),
-        None => vec![Obs::disabled(); n],
-    };
-    let outputs: Arc<Mutex<Vec<Vec<P::Output>>>> =
-        Arc::new(Mutex::new((0..n).map(|_| Vec::new()).collect()));
-    let delivered = Arc::new(AtomicU64::new(0));
-    let dropped = Arc::new(AtomicU64::new(0));
-    let done = Arc::new(AtomicBool::new(false));
-
-    let mut input_map: Vec<Vec<P::Input>> = (0..n).map(|_| Vec::new()).collect();
-    for (party, input) in inputs {
-        input_map[party].push(input);
-    }
-
-    let mut handles = Vec::with_capacity(n);
-    for (party, mut node) in nodes.into_iter().enumerate() {
-        let listener = listeners.remove(0);
-        let addrs = addrs.clone();
-        let my_inputs = std::mem::take(&mut input_map[party]);
-        let outputs = Arc::clone(&outputs);
-        let delivered = Arc::clone(&delivered);
-        let dropped = Arc::clone(&dropped);
-        let done = Arc::clone(&done);
-        let my_obs = obs[party].clone();
-        handles.push(std::thread::spawn(move || {
-            let mesh: ReactorMesh<P::Message> =
-                match ReactorMesh::start(party, &addrs, listener, None, DEFAULT_QUEUE_BYTES) {
-                    Ok(mesh) => mesh,
-                    Err(_) => return,
-                };
-            let started = Instant::now();
-            let mut fx: Effects<P::Message, P::Output> = Effects::for_parties(n);
-            let mut last_tick = Instant::now();
-            let mut links = LinkWatch::new(n);
-            {
-                let ctx = Context {
-                    me: party,
-                    n,
-                    at: 0,
-                    obs: my_obs.clone(),
-                };
-                for input in my_inputs {
-                    node.on_input_ctx(&ctx, input, &mut fx);
-                }
-            }
-            loop {
-                if done.load(Ordering::Relaxed) {
-                    break;
-                }
-                let mut worked = !fx.sends().is_empty() || !fx.outputs().is_empty();
-                let ctx = Context {
-                    me: party,
-                    n,
-                    at: started.elapsed().as_nanos() as u64,
-                    obs: my_obs.clone(),
-                };
-                if let Some((from, msg)) = mesh.recv_timeout(TICK_EVERY) {
-                    let handle_started = Instant::now();
-                    node.on_message_ctx(&ctx, from, msg, &mut fx);
-                    if my_obs.is_enabled() {
-                        my_obs.inc(Layer::Net, "recv");
-                        my_obs.observe(
-                            Layer::Net,
-                            "handle_ns",
-                            handle_started.elapsed().as_nanos() as u64,
-                        );
-                    }
-                    delivered.fetch_add(1, Ordering::Relaxed);
-                    worked = true;
-                }
-                if last_tick.elapsed() >= TICK_EVERY {
-                    last_tick = Instant::now();
-                    node.on_tick_ctx(&ctx, &mut fx);
-                    if my_obs.is_enabled() {
-                        my_obs.inc(Layer::Net, "tick");
-                    }
-                    links.poll(mesh.epoch(), mesh.supervisors(), &mut node, &ctx, &mut fx);
-                    worked = true;
-                }
-                if worked {
-                    let outs = fx.take_outputs();
-                    if !outs.is_empty() {
-                        outputs.lock()[party].extend(outs);
-                    }
-                    for (to, msg) in fx.take_sends() {
-                        if my_obs.is_enabled() {
-                            my_obs.inc(Layer::Net, "sent");
-                        }
-                        if !mesh.send(to, msg) {
-                            dropped.fetch_add(1, Ordering::Relaxed);
-                            if my_obs.is_enabled() {
-                                my_obs.inc(Layer::Net, "dropped_route");
-                            }
-                        }
-                    }
-                }
-            }
-            mesh.shutdown().record(&my_obs);
-        }));
-    }
-
-    let deadline = Instant::now() + timeout;
-    let mut completed = false;
-    while Instant::now() < deadline {
-        if stop(&outputs.lock()) {
-            completed = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    done.store(true, Ordering::Relaxed);
-    for h in handles {
-        let _ = h.join();
-    }
-    let outputs = Arc::try_unwrap(outputs)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone());
-    Ok(ThreadRunReport {
-        outputs,
-        delivered: delivered.load(Ordering::Relaxed),
-        dropped: dropped.load(Ordering::Relaxed),
-        completed,
-        metrics: obs.iter().map(|o| o.metrics_snapshot()).collect(),
+    // Hold every listener until all ports are drawn, so no two parties
+    // share one; each node then rebinds its own.
+    let listeners = (0..nodes.len())
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<io::Result<Vec<_>>>()?;
+    let addrs = listeners
+        .into_iter()
+        .map(|l| l.local_addr())
+        .collect::<io::Result<Vec<_>>>()?;
+    let (timeout, linger) = (Duration::from_secs(30), Duration::from_millis(300));
+    std::thread::scope(|s| {
+        let threads: Vec<_> = nodes
+            .into_iter()
+            .enumerate()
+            .map(|(me, slot)| {
+                let (node, inputs) = slot?;
+                let mut cfg = TcpNodeConfig::new(me, addrs.clone(), timeout, linger);
+                configure(&mut cfg);
+                let stop = &stop;
+                Some(s.spawn(move || run_tcp_node(&cfg, node, inputs, stop)))
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.map(|t| t.join().expect("node thread panicked")))
+            .map(Option::transpose)
+            .collect()
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::chaos::{LinkFaults, Partition};
     use crate::codec::{encode_frame, CodecError, Reader};
@@ -917,10 +782,10 @@ mod tests {
     /// Gossip over real sockets: each node broadcasts its input; every
     /// node outputs what it hears.
     #[derive(Debug)]
-    struct Gossip;
+    pub(crate) struct Gossip;
 
     #[derive(Clone, Debug, PartialEq, Eq)]
-    struct Word(u64);
+    pub(crate) struct Word(pub(crate) u64);
 
     impl WireCodec for Word {
         fn encode_into(&self, buf: &mut Vec<u8>) {
@@ -967,28 +832,24 @@ mod tests {
     }
 
     fn gossip_case(n: usize) {
-        let nodes: Vec<Gossip> = (0..n).map(|_| Gossip).collect();
-        let inputs: Vec<(PartyId, u64)> = (0..n).map(|p| (p, p as u64 * 3)).collect();
-        let report = run_tcp_observed(
+        let nodes = (0..n).map(|p| Some((Gossip, vec![p as u64 * 3]))).collect();
+        let reports = run_tcp_loopback(
             nodes,
-            inputs,
-            move |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| o.len() >= n),
-            Duration::from_secs(30),
-            Some(128),
+            |outs: &[(PartyId, u64)]| outs.len() >= n,
+            |cfg| cfg.recorder_capacity = Some(128),
         )
         .expect("loopback sockets bind");
-        assert!(report.completed, "all parties hear all {n} broadcasts");
-        for (party, outs) in report.outputs.iter().enumerate() {
+        let mut merged = MetricsSnapshot::default();
+        for (party, report) in reports.iter().enumerate() {
+            let report = report.as_ref().expect("every party started");
+            assert!(report.completed, "party {party} heard all {n} broadcasts");
             for from in 0..n {
                 assert!(
-                    outs.contains(&(from, from as u64 * 3)),
+                    report.outputs.contains(&(from, from as u64 * 3)),
                     "party {party} heard {from}"
                 );
             }
-        }
-        let mut merged = MetricsSnapshot::default();
-        for m in &report.metrics {
-            merged.merge(m);
+            merged.merge(&report.metrics);
         }
         assert!(
             merged.counter("net.tcp_bytes_sent") > 0,

@@ -1,342 +1,69 @@
-//! Real-thread runtime: the same protocol automata under true
-//! concurrency.
-//!
-//! The deterministic simulator exercises protocols under *chosen*
-//! schedules; this runtime complements it by running every replica on
-//! its own OS thread with messages routed through crossbeam channels and
-//! randomized delivery jitter, so integration tests also see genuine
-//! interleaving nondeterminism. The protocols are time-free automata, so
-//! no code changes between the two runtimes — that is the point of the
-//! asynchronous design (§2.2).
+//! Real-thread tests: every party of a protocol on its own OS thread,
+//! the parties connected over loopback TCP by
+//! [`run_tcp_loopback`](crate::run_tcp_loopback) — one
+//! [`run_tcp_node`](crate::run_tcp_node) loop per party, so these runs
+//! see genuine interleaving nondeterminism on the node loop that the
+//! binaries and the benchmark use.
 
-use crate::protocol::{Context, Effects, Protocol};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use sintra_adversary::party::PartyId;
-use sintra_crypto::rng::SeededRng;
-use sintra_obs::{Layer, MetricsSnapshot, Obs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-struct Route<M> {
-    from: PartyId,
-    to: PartyId,
-    msg: M,
-}
-
-/// Outcome of a threaded run.
-#[derive(Debug)]
-pub struct ThreadRunReport<O> {
-    /// Outputs per party, in local delivery order.
-    pub outputs: Vec<Vec<O>>,
-    /// Total messages routed.
-    pub delivered: u64,
-    /// Messages addressed outside `0..n` and therefore not routable.
-    /// Nonzero means a protocol bug (or an injected fault) is emitting
-    /// bogus destinations — it used to be silent.
-    pub dropped: u64,
-    /// Whether the stop predicate was satisfied (vs. timeout).
-    pub completed: bool,
-    /// Per-party metrics snapshots — empty unless the run was started
-    /// with [`run_threaded_observed`]. Wall-clock handling latencies
-    /// land in the `net.handle_ns` histogram.
-    pub metrics: Vec<MetricsSnapshot>,
-}
-
-/// How often each node thread fires `on_tick` while idle or between
-/// messages. Tick-driven logic (fdabc suspect timers, optimistic
-/// fallback timeouts, ABC lookahead) counts ticks, not wall time, so
-/// the exact period only scales those protocols' timeouts.
-const TICK_EVERY: Duration = Duration::from_millis(5);
-
-/// Runs `nodes` under true concurrency until `stop` holds over the
-/// output vectors or `timeout` elapses.
-///
-/// `inputs` are injected at the named parties as the threads start. The
-/// router shuffles delivery order with the seeded RNG; combined with OS
-/// scheduling this yields realistic asynchrony. Returns the outputs of
-/// every party.
-pub fn run_threaded<P>(
-    nodes: Vec<P>,
-    inputs: Vec<(PartyId, P::Input)>,
-    stop: impl Fn(&[Vec<P::Output>]) -> bool + Send + Sync + 'static,
-    timeout: Duration,
-    seed: u64,
-) -> ThreadRunReport<P::Output>
-where
-    P: Protocol + Send + 'static,
-    P::Message: 'static,
-    P::Input: Send + 'static,
-    P::Output: Clone + Send + 'static,
-{
-    run_threaded_observed(nodes, inputs, stop, timeout, seed, None)
-}
-
-/// [`run_threaded`] with per-node instrumentation: when
-/// `recorder_capacity` is `Some`, every node thread gets an enabled
-/// [`Obs`] whose metrics include wall-clock message-handling latency
-/// (`net.handle_ns`, log₂-bucketed nanoseconds) and per-direction
-/// message counters; the snapshots are taken after the node threads are
-/// joined, honoring the flight-recorder single-writer contract.
-pub fn run_threaded_observed<P>(
-    nodes: Vec<P>,
-    inputs: Vec<(PartyId, P::Input)>,
-    stop: impl Fn(&[Vec<P::Output>]) -> bool + Send + Sync + 'static,
-    timeout: Duration,
-    seed: u64,
-    recorder_capacity: Option<usize>,
-) -> ThreadRunReport<P::Output>
-where
-    P: Protocol + Send + 'static,
-    P::Message: 'static,
-    P::Input: Send + 'static,
-    P::Output: Clone + Send + 'static,
-{
-    let n = nodes.len();
-    let obs: Vec<Obs> = match recorder_capacity {
-        Some(cap) => (0..n).map(|_| Obs::enabled(cap)).collect(),
-        None => vec![Obs::disabled(); n],
-    };
-    let (router_tx, router_rx) = unbounded::<Route<P::Message>>();
-    let outputs: Arc<Mutex<Vec<Vec<P::Output>>>> =
-        Arc::new(Mutex::new((0..n).map(|_| Vec::new()).collect()));
-    let delivered = Arc::new(AtomicU64::new(0));
-    let done = Arc::new(AtomicBool::new(false));
-
-    // Per-node inboxes.
-    let mut inboxes_tx: Vec<Sender<(PartyId, P::Message)>> = Vec::with_capacity(n);
-    let mut inboxes_rx: Vec<Receiver<(PartyId, P::Message)>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        inboxes_tx.push(tx);
-        inboxes_rx.push(rx);
-    }
-    // Per-node input channels.
-    let mut input_tx: Vec<Sender<P::Input>> = Vec::with_capacity(n);
-    let mut input_rx: Vec<Receiver<P::Input>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        input_tx.push(tx);
-        input_rx.push(rx);
-    }
-
-    // Node threads.
-    let mut handles = Vec::with_capacity(n);
-    for (party, mut node) in nodes.into_iter().enumerate() {
-        let my_rx = inboxes_rx[party].clone();
-        let my_inputs = input_rx[party].clone();
-        let to_router = router_tx.clone();
-        let outputs = Arc::clone(&outputs);
-        let done = Arc::clone(&done);
-        let my_obs = obs[party].clone();
-        handles.push(std::thread::spawn(move || {
-            let started = Instant::now();
-            let mut fx: Effects<P::Message, P::Output> = Effects::for_parties(n);
-            let mut last_tick = Instant::now();
-            loop {
-                if done.load(Ordering::Relaxed) {
-                    break;
-                }
-                // Drain pending inputs first, then one message.
-                let mut worked = false;
-                let ctx = Context {
-                    me: party,
-                    n,
-                    at: started.elapsed().as_nanos() as u64,
-                    obs: my_obs.clone(),
-                };
-                while let Ok(input) = my_inputs.try_recv() {
-                    node.on_input_ctx(&ctx, input, &mut fx);
-                    worked = true;
-                }
-                if let Ok((from, msg)) = my_rx.recv_timeout(TICK_EVERY) {
-                    let handle_started = Instant::now();
-                    node.on_message_ctx(&ctx, from, msg, &mut fx);
-                    if my_obs.is_enabled() {
-                        my_obs.inc(Layer::Net, "recv");
-                        my_obs.observe(
-                            Layer::Net,
-                            "handle_ns",
-                            handle_started.elapsed().as_nanos() as u64,
-                        );
-                    }
-                    worked = true;
-                }
-                // Fire the periodic tick whether or not messages are
-                // flowing — checked every iteration, not only on recv
-                // timeout, so a busy node still observes time passing.
-                if last_tick.elapsed() >= TICK_EVERY {
-                    last_tick = Instant::now();
-                    node.on_tick_ctx(&ctx, &mut fx);
-                    if my_obs.is_enabled() {
-                        my_obs.inc(Layer::Net, "tick");
-                    }
-                    worked = true;
-                }
-                if worked {
-                    let outs = fx.take_outputs();
-                    if !outs.is_empty() {
-                        outputs.lock()[party].extend(outs);
-                    }
-                    for (to, msg) in fx.take_sends() {
-                        if my_obs.is_enabled() {
-                            my_obs.inc(Layer::Net, "sent");
-                        }
-                        let _ = to_router.send(Route {
-                            from: party,
-                            to,
-                            msg,
-                        });
-                    }
-                }
-            }
-        }));
-    }
-    drop(router_tx);
-
-    // Inject inputs.
-    for (party, input) in inputs {
-        let _ = input_tx[party].send(input);
-    }
-
-    // Router loop with jitter: buffer a few messages and release in
-    // random order.
-    let mut rng = SeededRng::new(seed);
-    let deadline = Instant::now() + timeout;
-    let mut buffer: Vec<(PartyId, PartyId, P::Message)> = Vec::new();
-    let mut completed = false;
-    let mut dropped = 0u64;
-    loop {
-        if Instant::now() > deadline {
-            break;
-        }
-        // Pull whatever is queued (up to a small batch).
-        while buffer.len() < 32 {
-            match router_rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(Route { from, to, msg }) => buffer.push((from, to, msg)),
-                Err(_) => break,
-            }
-        }
-        if !buffer.is_empty() {
-            let idx = rng.next_below(buffer.len() as u64) as usize;
-            let (from, to, msg) = buffer.swap_remove(idx);
-            if to < n {
-                delivered.fetch_add(1, Ordering::Relaxed);
-                let _ = inboxes_tx[to].send((from, msg));
-            } else {
-                // An out-of-range destination is a protocol bug (or an
-                // injected fault); count it instead of losing it
-                // silently. `Obs::inc` only touches the mutex-backed
-                // metrics, so charging the sender from the router
-                // thread respects the recorder single-writer contract.
-                dropped += 1;
-                if obs[from].is_enabled() {
-                    obs[from].inc(Layer::Net, "dropped_route");
-                }
-            }
-        }
-        if stop(&outputs.lock()) {
-            completed = true;
-            break;
-        }
-    }
-    done.store(true, Ordering::Relaxed);
-    for h in handles {
-        let _ = h.join();
-    }
-    // Joined node threads have flushed every send into the router
-    // channel; account for undeliverable destinations still in flight
-    // so the drop count is exact regardless of when the stop predicate
-    // tripped. (Deliverable leftovers are simply undelivered — their
-    // recipients are gone.)
-    for (from, to, _msg) in buffer.drain(..) {
-        if to >= n {
-            dropped += 1;
-            if obs[from].is_enabled() {
-                obs[from].inc(Layer::Net, "dropped_route");
-            }
-        }
-    }
-    while let Ok(Route { from, to, .. }) = router_rx.try_recv() {
-        if to >= n {
-            dropped += 1;
-            if obs[from].is_enabled() {
-                obs[from].inc(Layer::Net, "dropped_route");
-            }
-        }
-    }
-    let outputs = Arc::try_unwrap(outputs)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone());
-    ThreadRunReport {
-        outputs,
-        delivered: delivered.load(Ordering::Relaxed),
-        dropped,
-        completed,
-        metrics: obs.iter().map(|o| o.metrics_snapshot()).collect(),
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::protocol::{Effects, Protocol};
+    use crate::tcp_runtime::tests::{Gossip, Word};
+    use crate::tcp_runtime::{run_tcp_loopback, TcpNodeReport};
+    use sintra_adversary::party::PartyId;
+    use sintra_obs::MetricsSnapshot;
+    use std::time::{Duration, Instant};
 
-    #[derive(Debug)]
-    struct Gossip;
-
-    impl Protocol for Gossip {
-        type Message = u64;
-        type Input = u64;
-        type Output = (PartyId, u64);
-
-        fn on_input(&mut self, v: u64, fx: &mut Effects<u64, (PartyId, u64)>) {
-            fx.broadcast(v);
+    fn merged<O>(reports: &[Option<TcpNodeReport<O>>]) -> MetricsSnapshot {
+        let mut merged = MetricsSnapshot::default();
+        for report in reports.iter().flatten() {
+            merged.merge(&report.metrics);
         }
-
-        fn on_message(&mut self, from: PartyId, v: u64, fx: &mut Effects<u64, (PartyId, u64)>) {
-            fx.output((from, v));
-        }
+        merged
     }
 
+    /// Several inputs per party: every party hears every value of
+    /// every party.
     #[test]
     fn threaded_gossip_delivers_everything() {
-        let n = 4;
-        let nodes: Vec<Gossip> = (0..n).map(|_| Gossip).collect();
-        let inputs: Vec<(PartyId, u64)> = (0..n).map(|p| (p, p as u64 * 11)).collect();
-        let report = run_threaded(
+        let (n, k) = (4, 3u64);
+        let value = |p: usize, i: u64| p as u64 * 11 + i;
+        let nodes = (0..n)
+            .map(|p| Some((Gossip, (0..k).map(|i| value(p, i)).collect())))
+            .collect();
+        let reports = run_tcp_loopback(
             nodes,
-            inputs,
-            move |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| o.len() >= n),
-            Duration::from_secs(10),
-            1,
-        );
-        assert!(report.completed, "all parties hear all four broadcasts");
-        for o in &report.outputs {
-            assert!(o.len() >= n);
+            |outs: &[(PartyId, u64)]| outs.len() >= n * k as usize,
+            |_| {},
+        )
+        .expect("loopback sockets bind");
+        for (party, report) in reports.iter().enumerate() {
+            let report = report.as_ref().expect("every party started");
+            assert!(report.completed, "party {party} heard all broadcasts");
+            for (from, i) in (0..n).flat_map(|p| (0..k).map(move |i| (p, i))) {
+                assert!(
+                    report.outputs.contains(&(from, value(from, i))),
+                    "party {party} heard input {i} of {from}"
+                );
+            }
         }
-        assert!(report.delivered >= (n * (n - 1)) as u64);
     }
 
     #[test]
     fn observed_run_collects_wall_clock_metrics() {
         let n = 3;
-        let nodes: Vec<Gossip> = (0..n).map(|_| Gossip).collect();
-        let inputs: Vec<(PartyId, u64)> = (0..n).map(|p| (p, p as u64)).collect();
-        let report = run_threaded_observed(
+        let nodes = (0..n).map(|p| Some((Gossip, vec![p as u64]))).collect();
+        let reports = run_tcp_loopback(
             nodes,
-            inputs,
-            move |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| o.len() >= n),
-            Duration::from_secs(10),
-            3,
-            Some(256),
+            |outs: &[(PartyId, u64)]| outs.len() >= n,
+            |cfg| cfg.recorder_capacity = Some(256),
+        )
+        .expect("loopback sockets bind");
+        assert!(reports.iter().flatten().all(|r| r.completed));
+        assert!(
+            reports.iter().flatten().all(|r| !r.metrics.is_empty()),
+            "every party reports metrics"
         );
-        assert!(report.completed);
-        assert_eq!(report.metrics.len(), n);
-        let mut merged = MetricsSnapshot::default();
-        for m in &report.metrics {
-            merged.merge(m);
-        }
+        let merged = merged(&reports);
         assert!(merged.counter("net.recv") > 0, "messages were counted");
         assert!(
             merged.hists["net.handle_ns"].count > 0,
@@ -346,128 +73,128 @@ mod tests {
 
     #[test]
     fn unobserved_run_reports_empty_metrics() {
-        let nodes: Vec<Gossip> = (0..2).map(|_| Gossip).collect();
-        let report = run_threaded(
-            nodes,
-            vec![(0, 1u64)],
-            |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| !o.is_empty()),
-            Duration::from_secs(5),
-            4,
-        );
-        assert!(report.metrics.iter().all(|m| m.is_empty()));
+        let nodes = vec![Some((Gossip, vec![1])), Some((Gossip, vec![]))];
+        let reports = run_tcp_loopback(nodes, |outs: &[(PartyId, u64)]| !outs.is_empty(), |_| {})
+            .expect("loopback sockets bind");
+        assert!(reports.iter().flatten().all(|r| r.completed));
+        assert!(reports.iter().flatten().all(|r| r.metrics.is_empty()));
     }
 
-    /// Broadcasts only from `on_tick`: silent until the runtime drives
+    /// Broadcasts only from `on_tick`: silent until the node loop drives
     /// time forward, like fdabc suspect timers or optimistic fallback
-    /// timeouts. Before the tick fix this protocol stalled forever on
-    /// threads.
-    #[derive(Debug)]
+    /// timeouts.
+    #[derive(Debug, Default)]
     struct TickBeacon {
         armed: bool,
         fired: bool,
     }
 
     impl Protocol for TickBeacon {
-        type Message = u64;
+        type Message = Word;
         type Input = u64;
         type Output = (PartyId, u64);
 
-        fn on_input(&mut self, _v: u64, _fx: &mut Effects<u64, (PartyId, u64)>) {
+        fn on_input(&mut self, _v: u64, _fx: &mut Effects<Word, (PartyId, u64)>) {
             self.armed = true;
         }
 
-        fn on_message(&mut self, from: PartyId, v: u64, fx: &mut Effects<u64, (PartyId, u64)>) {
-            fx.output((from, v));
+        fn on_message(&mut self, from: PartyId, w: Word, fx: &mut Effects<Word, (PartyId, u64)>) {
+            fx.output((from, w.0));
         }
 
-        fn on_tick(&mut self, fx: &mut Effects<u64, (PartyId, u64)>) {
+        fn on_tick(&mut self, fx: &mut Effects<Word, (PartyId, u64)>) {
             if self.armed && !self.fired {
                 self.fired = true;
-                fx.broadcast(99);
+                fx.broadcast(Word(99));
             }
         }
     }
 
     #[test]
     fn tick_dependent_protocol_makes_progress_on_threads() {
-        let n = 4;
-        let nodes: Vec<TickBeacon> = (0..n)
-            .map(|_| TickBeacon {
-                armed: false,
-                fired: false,
-            })
+        let nodes = (0..4)
+            .map(|p| Some((TickBeacon::default(), if p == 0 { vec![1] } else { vec![] })))
             .collect();
-        let report = run_threaded_observed(
+        let reports = run_tcp_loopback(
             nodes,
-            vec![(0, 1u64)],
-            move |outs: &[Vec<(PartyId, u64)>]| outs.iter().all(|o| o.iter().any(|&(f, _)| f == 0)),
-            Duration::from_secs(10),
-            5,
-            Some(64),
+            |outs: &[(PartyId, u64)]| outs.contains(&(0, 99)),
+            |cfg| cfg.recorder_capacity = Some(64),
+        )
+        .expect("loopback sockets bind");
+        assert!(
+            reports.iter().flatten().all(|r| r.completed),
+            "on_tick fires on the node loop, so every party hears the beacon"
         );
         assert!(
-            report.completed,
-            "on_tick must fire under the thread runtime (tick-starvation regression)"
+            merged(&reports).counter("net.tick") > 0,
+            "ticks were counted"
         );
-        let mut merged = MetricsSnapshot::default();
-        for m in &report.metrics {
-            merged.merge(m);
-        }
-        assert!(merged.counter("net.tick") > 0, "ticks were counted");
     }
 
-    /// Sends every payload to a bogus party id; the router must count
-    /// the drops instead of losing them silently.
+    /// Sends every payload to two party ids outside the mesh; the node
+    /// loop must count the drops instead of losing them silently.
     #[derive(Debug)]
-    struct Misaddresser;
+    struct Misaddresser {
+        n: usize,
+    }
 
     impl Protocol for Misaddresser {
-        type Message = u64;
+        type Message = Word;
         type Input = u64;
         type Output = u64;
 
-        fn on_input(&mut self, v: u64, fx: &mut Effects<u64, u64>) {
-            fx.send(usize::MAX, v);
+        fn on_input(&mut self, v: u64, fx: &mut Effects<Word, u64>) {
+            fx.send(self.n, Word(v));
+            fx.send(usize::MAX, Word(v));
             fx.output(v);
         }
 
-        fn on_message(&mut self, _from: PartyId, _v: u64, _fx: &mut Effects<u64, u64>) {}
+        fn on_message(&mut self, _from: PartyId, _w: Word, _fx: &mut Effects<Word, u64>) {}
     }
 
     #[test]
     fn out_of_range_routes_are_counted_not_silent() {
-        let nodes: Vec<Misaddresser> = (0..2).map(|_| Misaddresser).collect();
-        let report = run_threaded_observed(
+        let nodes = (0..2)
+            .map(|p| Some((Misaddresser { n: 2 }, vec![7 + p as u64])))
+            .collect();
+        // No frame crosses a socket, so no party needs to linger.
+        let reports = run_tcp_loopback(
             nodes,
-            vec![(0, 7u64), (1, 8u64)],
-            |outs: &[Vec<u64>]| outs.iter().all(|o| !o.is_empty()),
-            Duration::from_secs(10),
-            6,
-            Some(64),
-        );
-        assert!(report.completed);
-        // Both misaddressed sends are reported. The router may observe
-        // them shortly after the stop predicate trips, so poll-free
-        // assertion happens on the final report.
-        assert_eq!(report.dropped, 2, "both bogus destinations counted");
-        let mut merged = MetricsSnapshot::default();
-        for m in &report.metrics {
-            merged.merge(m);
+            |outs: &[u64]| !outs.is_empty(),
+            |cfg| {
+                cfg.recorder_capacity = Some(64);
+                cfg.linger = Duration::ZERO;
+            },
+        )
+        .expect("loopback sockets bind");
+        for report in reports.iter().flatten() {
+            assert!(report.completed);
+            assert_eq!(report.dropped, 2, "both bogus destinations counted");
+            assert_eq!(report.metrics.counter("net.dropped_route"), 2);
         }
-        assert_eq!(merged.counter("net.dropped_route"), 2);
     }
 
     #[test]
     fn timeout_reports_incomplete() {
-        // Stop predicate never satisfied; must return by timeout.
-        let nodes: Vec<Gossip> = (0..2).map(|_| Gossip).collect();
-        let report = run_threaded(
+        let timeout = Duration::from_millis(200);
+        let nodes = vec![Some((Gossip, vec![1])), Some((Gossip, vec![]))];
+        let t0 = Instant::now();
+        let reports = run_tcp_loopback(
             nodes,
-            vec![],
-            |_: &[Vec<(PartyId, u64)>]| false,
-            Duration::from_millis(200),
-            2,
+            |_: &[(PartyId, u64)]| false,
+            |cfg| cfg.timeout = timeout,
+        )
+        .expect("loopback sockets bind");
+        assert!(
+            t0.elapsed() < timeout + Duration::from_secs(1),
+            "returned soon after the timeout ({:?})",
+            t0.elapsed()
         );
-        assert!(!report.completed);
+        assert!(
+            reports.iter().flatten().all(|r| !r.completed),
+            "a stop predicate that never holds"
+        );
+        let first = reports[0].as_ref().expect("party 0 started");
+        assert!(first.outputs.contains(&(0, 1)), "it ran until then");
     }
 }

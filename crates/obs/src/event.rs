@@ -10,7 +10,7 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Layer {
-    /// The network substrate (simulator or thread runtime).
+    /// The network substrate (simulator or TCP runtime).
     Net = 0,
     /// Reliable broadcast.
     Rbc = 1,

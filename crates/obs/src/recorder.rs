@@ -10,7 +10,7 @@
 //!
 //! Concurrency contract: a recorder belongs to one node. Under the
 //! deterministic simulator everything is single-threaded; under the
-//! thread runtime each node's thread is the only writer and snapshots
+//! TCP runtime each node's thread is the only writer and snapshots
 //! are taken after the threads are joined. Concurrent writers would not
 //! corrupt memory (slots are atomics), but an event spanning four words
 //! could interleave; the single-writer discipline keeps snapshots

@@ -142,17 +142,17 @@ pub const DEDUP_ROUNDS: u64 = 64;
 /// Hard cap on proposal-batch entry count, enforced by the wire codec,
 /// by [`batch_within_bounds`], and by external validity (mirroring the
 /// RSM layer's `DEDUP_DECODE_CAP` pattern: every decode path that a
-/// Byzantine peer can reach is bounded). [`set_batch_cap`]
-/// (AtomicBroadcast::set_batch_cap) is clamped to it, so honest batches
-/// always pass.
+/// Byzantine peer can reach is bounded). [`AbcTuning::batch_cap`] is
+/// clamped to it by [`AtomicBroadcast::tune`], so honest batches always
+/// pass.
 pub const QUEUED_BATCH_DECODE_CAP: usize = 1024;
 
 /// Default number of payloads proposed per round (see
-/// [`AtomicBroadcast::set_batch_cap`]).
+/// [`AbcTuning::batch_cap`]).
 const DEFAULT_BATCH_CAP: usize = 16;
 
 /// Default byte budget per proposed batch (see
-/// [`AtomicBroadcast::set_batch_bytes`]).
+/// [`AbcTuning::batch_bytes`]).
 const DEFAULT_BATCH_BYTES: usize = 64 << 10;
 
 /// Hard cap on rounds concurrently in flight. This is a **protocol
@@ -165,8 +165,7 @@ const DEFAULT_BATCH_BYTES: usize = 64 << 10;
 pub const MAX_PIPELINE_DEPTH: u64 = 8;
 const _: () = assert!(MAX_PIPELINE_DEPTH <= ROUND_LOOKAHEAD);
 
-/// Default pipeline depth (see
-/// [`AtomicBroadcast::set_pipeline_depth`]).
+/// Default pipeline depth (see [`AbcTuning::pipeline_depth`]).
 const DEFAULT_PIPELINE_DEPTH: u64 = 2;
 
 /// How much less a round-`r` proposal proves than it used to: with
@@ -174,9 +173,7 @@ const DEFAULT_PIPELINE_DEPTH: u64 = 2;
 /// [`MAX_PIPELINE_DEPTH`] rounds past its delivery frontier.
 const PIPELINE_ACK_SLACK: u64 = MAX_PIPELINE_DEPTH - 1;
 
-/// The ABC hot-path tuning knobs as one value: what used to be three
-/// scattered setters (`set_batch_cap`, `set_batch_bytes`,
-/// `set_pipeline_depth`) travels as a single struct so configuration
+/// The ABC hot-path tuning knobs as one value, so configuration
 /// reaches every replica of every group identically. Out-of-range
 /// values are clamped by [`AtomicBroadcast::tune`], never rejected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,7 +185,10 @@ pub struct AbcTuning {
     /// an oversized payload still makes progress).
     pub batch_bytes: usize,
     /// Rounds allowed concurrently in flight
-    /// (`1..=`[`MAX_PIPELINE_DEPTH`]).
+    /// (`1..=`[`MAX_PIPELINE_DEPTH`]): round `r + 1` opens as soon as
+    /// round `r` has a core proposal quorum (its MVBA is proposed to),
+    /// without waiting for `r`'s decision; delivery stays strictly in
+    /// round order.
     pub pipeline_depth: u64,
 }
 
@@ -452,24 +452,9 @@ impl AtomicBroadcast {
         self.batch_cap
     }
 
-    /// Sets the per-round proposal batch size (clamped to
-    /// `1..=`[`QUEUED_BATCH_DECODE_CAP`]). `1` restores the seed's
-    /// one-payload-per-round behavior.
-    #[deprecated(note = "use AtomicBroadcast::tune with an AbcTuning")]
-    pub fn set_batch_cap(&mut self, cap: usize) {
-        self.batch_cap = cap.clamp(1, QUEUED_BATCH_DECODE_CAP);
-    }
-
     /// Byte budget per proposed batch.
     pub fn batch_bytes(&self) -> usize {
         self.batch_bytes
-    }
-
-    /// Sets the byte budget per proposed batch. The first payload of a
-    /// batch is exempt so an oversized payload still makes progress.
-    #[deprecated(note = "use AtomicBroadcast::tune with an AbcTuning")]
-    pub fn set_batch_bytes(&mut self, bytes: usize) {
-        self.batch_bytes = bytes.clamp(1, MAX_PAYLOAD);
     }
 
     /// Rounds allowed concurrently in flight.
@@ -477,20 +462,9 @@ impl AtomicBroadcast {
         self.pipeline_depth
     }
 
-    /// Sets the pipelining depth (clamped to
-    /// `1..=`[`MAX_PIPELINE_DEPTH`]). Round `r + 1` opens as soon as
-    /// round `r` has a core proposal quorum (its MVBA is proposed to),
-    /// without waiting for `r`'s decision; delivery stays strictly in
-    /// round order. `1` restores the seed's sequential rounds.
-    #[deprecated(note = "use AtomicBroadcast::tune with an AbcTuning")]
-    pub fn set_pipeline_depth(&mut self, depth: u64) {
-        self.pipeline_depth = depth.clamp(1, MAX_PIPELINE_DEPTH);
-    }
-
     /// Applies one [`AbcTuning`] — batch size, batch bytes, and
-    /// pipeline depth together, with the same clamps the individual
-    /// (deprecated) setters enforced. The single entry point the RSM
-    /// layer's `ReplicaConfig` drives.
+    /// pipeline depth together, each clamped to its range. The single
+    /// entry point the RSM layer's `ReplicaConfig` drives.
     pub fn tune(&mut self, tuning: &AbcTuning) {
         self.batch_cap = tuning.batch_cap.clamp(1, QUEUED_BATCH_DECODE_CAP);
         self.batch_bytes = tuning.batch_bytes.clamp(1, MAX_PAYLOAD);

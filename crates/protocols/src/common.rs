@@ -44,8 +44,7 @@ pub fn digest(payload: &[u8]) -> Digest {
 ///
 /// The outbox knows the group size of the instance that writes into it,
 /// so protocols broadcast with [`Outbox::broadcast`] instead of every
-/// call site re-supplying its own `n` — the duplicated-`n` parameter of
-/// the old `send_all` free function is gone. An outbox iterates as
+/// call site re-supplying its own `n`. An outbox iterates as
 /// `(PartyId, M)` pairs, oldest first.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Outbox<M> {
@@ -139,16 +138,6 @@ impl<'a, M> IntoIterator for &'a Outbox<M> {
     fn into_iter(self) -> Self::IntoIter {
         self.msgs.iter()
     }
-}
-
-/// Queues `msg` for every party in `0..n`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Outbox::broadcast(msg)`; the outbox knows its group size"
-)]
-pub fn send_all<M: Clone>(out: &mut Outbox<M>, n: usize, msg: M) {
-    let _ = n;
-    out.broadcast(msg);
 }
 
 /// A hierarchical protocol-instance tag. Tags separate the cryptographic
@@ -445,15 +434,6 @@ mod tests {
         assert_eq!(out.drain().len(), 4);
         assert!(out.is_empty());
         assert_eq!(out.group_size(), 3, "drain keeps the group size");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_send_all_still_broadcasts() {
-        let mut out: Outbox<u8> = Outbox::new(2);
-        #[allow(deprecated)]
-        send_all(&mut out, 2, 5);
-        assert_eq!(out.as_slice(), &[(0, 5), (1, 5)]);
     }
 
     #[test]

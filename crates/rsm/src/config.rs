@@ -1,15 +1,12 @@
 //! One builder for every replica knob.
 //!
-//! Before the shard router, tuning a replica meant a scatter of
-//! per-layer setters — `set_ckpt_interval` on the replica,
-//! `set_batch_cap` / `set_batch_bytes` / `set_pipeline_depth` on the
-//! ordering layer — applied after a positional `Replica::new`. With G
-//! groups of n replicas that soup does not scale: the same
-//! configuration must reach G×n places identically. [`ReplicaConfig`]
-//! is the single value that travels:
+//! With G groups of n replicas, the same configuration — checkpoint
+//! cadence, ordering-layer tuning, service tag, seed — must reach G×n
+//! places identically. [`ReplicaConfig`] is the single value that
+//! travels:
 //! [`Replica::with_config`](crate::replica::Replica::with_config)
 //! consumes it directly, and the shard router replicates it across
-//! every group. The old setters survive as thin deprecated shims.
+//! every group.
 
 use sintra_adversary::party::PartyId;
 use sintra_crypto::rng::SeededRng;
@@ -66,8 +63,8 @@ impl Default for ReplicaConfig {
 }
 
 impl ReplicaConfig {
-    /// The default configuration (equivalent to what `Replica::new`
-    /// plus untouched layer defaults used to produce).
+    /// The default configuration: default checkpoint cadence and
+    /// ordering-layer tuning, the `rsm` root tag, seed 0, no shard.
     pub fn new() -> ReplicaConfig {
         ReplicaConfig::default()
     }

@@ -577,29 +577,6 @@ pub struct Replica<L: OrderingLayer, S: StateMachine> {
 }
 
 impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
-    /// Assembles a replica from positional arguments with default
-    /// checkpoint cadence and no shard identity.
-    #[deprecated(note = "use Replica::with_config with a ReplicaConfig")]
-    pub fn new(
-        tag: Tag,
-        layer: L,
-        machine: S,
-        public: Arc<PublicParameters>,
-        bundle: Arc<ServerKeyBundle>,
-        rng: SeededRng,
-    ) -> Self {
-        Self::assemble(
-            tag,
-            layer,
-            machine,
-            public,
-            bundle,
-            rng,
-            DEFAULT_CKPT_INTERVAL,
-            None,
-        )
-    }
-
     /// Assembles a replica from a [`ReplicaConfig`]: applies the
     /// ordering-layer tuning (batching, pipelining, verification
     /// offload), derives the party rng from the config seed, and stamps
@@ -613,39 +590,16 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
     ) -> Self {
         layer.apply_config(cfg);
         let rng = cfg.rng_for(bundle.party());
-        Self::assemble(
-            cfg.tag.clone(),
-            layer,
-            machine,
-            public,
-            bundle,
-            rng,
-            cfg.ckpt_interval.max(1),
-            cfg.shard,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        tag: Tag,
-        layer: L,
-        machine: S,
-        public: Arc<PublicParameters>,
-        bundle: Arc<ServerKeyBundle>,
-        rng: SeededRng,
-        ckpt_interval: u64,
-        shard: Option<ShardId>,
-    ) -> Self {
         let n = public.n();
         Replica {
-            tag,
+            tag: cfg.tag.clone(),
             layer,
             machine,
             public,
             bundle,
             rng,
             applied: 0,
-            ckpt_interval,
+            ckpt_interval: cfg.ckpt_interval.max(1),
             log: BTreeMap::new(),
             pending_ckpts: BTreeMap::new(),
             ckpt_shares: HashMap::new(),
@@ -659,7 +613,7 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
             served_at: vec![None; n],
             ckpt_div: 0,
             pending_at: HashMap::new(),
-            shard,
+            shard: cfg.shard,
         }
     }
 
@@ -696,12 +650,6 @@ impl<L: OrderingLayer, S: StateMachine> Replica<L, S> {
     /// The checkpoint cadence in rounds.
     pub fn ckpt_interval(&self) -> u64 {
         self.ckpt_interval
-    }
-
-    /// Overrides the checkpoint cadence (clamped to ≥ 1).
-    #[deprecated(note = "set ckpt_interval on a ReplicaConfig instead")]
-    pub fn set_ckpt_interval(&mut self, rounds: u64) {
-        self.ckpt_interval = rounds.max(1);
     }
 
     /// The shard this replica orders for, if it was built for one.
@@ -2572,11 +2520,16 @@ mod tests {
     fn ckpt_share_pool_is_bounded_per_sender() {
         let (public, bundles) = deal(4, 1, 27);
         let b3 = bundles[3].clone();
-        let mut nodes = atomic_replicas(public, bundles, |_| KvMachine::new(), 27);
         // A wide interval keeps every claim below the far-future hint
         // horizon, so this test exercises only the pooling path.
-        #[allow(deprecated)] // the shim must keep working
-        nodes[0].set_ckpt_interval(CKPT_POOL_LOOKAHEAD + 32);
+        let mut nodes = atomic_replicas_with(
+            &ReplicaConfig::new()
+                .seed(27)
+                .ckpt_interval(CKPT_POOL_LOOKAHEAD + 32),
+            public,
+            bundles,
+            |_| KvMachine::new(),
+        );
         let mut rng = SeededRng::new(4);
         let tag = Tag::root("rsm");
         // A Byzantine sender floods fabricated near-round claims, each

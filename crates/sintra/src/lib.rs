@@ -29,7 +29,7 @@
 //!                 │ linear secret sharing (Benaloh-Leichter), all from
 //!                 │ scratch on a 256-bit Schnorr group
 //!  ───────────────┼──────────────────────────────────────────────────
-//!  network        │ deterministic adversarial simulator + thread runtime
+//!  network        │ deterministic adversarial simulator + TCP runtime
 //! ```
 //!
 //! ## Quickstart

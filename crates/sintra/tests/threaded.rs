@@ -1,121 +1,105 @@
 //! Integration under true concurrency: the same protocol automata on
-//! real OS threads with jittered routing (the paper's time-free design
-//! means no code changes between the deterministic simulator and the
-//! threaded runtime).
-
-use std::time::Duration;
+//! real OS threads over loopback TCP, one node loop per replica (the
+//! paper's time-free design means no code changes between the
+//! deterministic simulator and real sockets).
 
 use sintra::adversary::structure::TrustStructure;
-use sintra::net::{run_threaded, Effects, Protocol};
+use sintra::net::{run_tcp_loopback, ChaosConfig, LinkFaults};
 use sintra::protocols::abc::{abc_nodes, AbcDeliver};
-use sintra::protocols::fdabc::{fd_nodes, FdAbcNode, FdDeliver, FdMessage};
+use sintra::protocols::fdabc::{fd_nodes, FdDeliver};
 use sintra::setup::dealt_system;
 
 #[test]
 fn atomic_broadcast_on_threads() {
     let n = 4;
     let (public, bundles) = dealt_system(n, 1, 201).unwrap();
-    let nodes = abc_nodes(public, bundles, 201);
-    let inputs = vec![(0, b"threaded-a".to_vec()), (2, b"threaded-b".to_vec())];
-    let report = run_threaded(
-        nodes,
-        inputs,
-        move |outs: &[Vec<AbcDeliver>]| outs.iter().all(|o| o.len() >= 2),
-        Duration::from_secs(120),
-        202,
-    );
-    assert!(report.completed, "both broadcasts delivered everywhere");
-    let reference: Vec<(u64, Vec<u8>)> = report.outputs[0]
-        .iter()
-        .map(|d| (d.seq, d.payload.clone()))
-        .collect();
-    assert_eq!(reference.len(), 2);
-    for p in 1..n {
-        let got: Vec<(u64, Vec<u8>)> = report.outputs[p]
-            .iter()
-            .map(|d| (d.seq, d.payload.clone()))
-            .collect();
-        assert_eq!(got, reference, "thread {p} agrees on the order");
-    }
-}
-
-/// A replica wrapper that can be crashed: once `crashed` is set it
-/// ignores every event, so the group must detect the silence and move
-/// on without it.
-struct MaybeCrashed {
-    inner: FdAbcNode,
-    crashed: bool,
-}
-
-impl Protocol for MaybeCrashed {
-    type Message = FdMessage;
-    type Input = Vec<u8>;
-    type Output = FdDeliver;
-
-    fn on_input(&mut self, input: Vec<u8>, fx: &mut Effects<FdMessage, FdDeliver>) {
-        if !self.crashed {
-            self.inner.on_input(input, fx);
-        }
-    }
-
-    fn on_message(&mut self, from: usize, msg: FdMessage, fx: &mut Effects<FdMessage, FdDeliver>) {
-        if !self.crashed {
-            self.inner.on_message(from, msg, fx);
-        }
-    }
-
-    fn on_tick(&mut self, fx: &mut Effects<FdMessage, FdDeliver>) {
-        if !self.crashed {
-            self.inner.on_tick(fx);
-        }
-    }
-}
-
-/// Regression for the tick-starved thread runtime: the failure-detector
-/// baseline's view change is driven *only* by `on_tick`, so with the
-/// view-0 coordinator crashed this test deadlocks (and times out)
-/// unless the runtime actually fires periodic ticks.
-#[test]
-fn crashed_coordinator_is_replaced_via_ticks_on_threads() {
-    let n = 4;
-    let structure = TrustStructure::threshold(n, 1).unwrap();
-    let nodes: Vec<MaybeCrashed> = fd_nodes(&structure, 10)
+    let inputs = [
+        vec![b"threaded-a".to_vec()],
+        vec![],
+        vec![b"threaded-b".to_vec()],
+        vec![],
+    ];
+    let nodes = abc_nodes(public, bundles, 201)
         .into_iter()
-        .enumerate()
-        .map(|(p, inner)| MaybeCrashed {
-            inner,
-            // Party 0 coordinates view 0; crashing it forces the
-            // remaining replicas to suspect it on timeout and elect
-            // the view-1 coordinator.
-            crashed: p == 0,
+        .zip(inputs)
+        .map(Some)
+        .collect();
+    // Seeded jitter on every link: delays and reorders, never drops.
+    let chaos = ChaosConfig {
+        seed: 202,
+        default: LinkFaults {
+            delay_per_mille: 200,
+            delay_ms: (1, 10),
+            reorder_per_mille: 200,
+            ..LinkFaults::none()
+        },
+        ..ChaosConfig::default()
+    };
+    let reports = run_tcp_loopback(
+        nodes,
+        |outs: &[AbcDeliver]| outs.len() >= 2,
+        |cfg| cfg.chaos = Some(chaos.clone()),
+    )
+    .expect("loopback sockets bind");
+    let orders: Vec<_> = reports
+        .iter()
+        .map(|r| {
+            let r = r.as_ref().expect("every party started");
+            assert!(r.completed, "both broadcasts delivered everywhere");
+            r.outputs
+                .iter()
+                .map(|d| (d.seq, d.payload.clone()))
+                .collect::<Vec<_>>()
         })
         .collect();
-    let inputs = vec![(1, b"survive-the-crash".to_vec())];
-    let report = run_threaded(
-        nodes,
-        inputs,
-        move |outs: &[Vec<FdDeliver>]| (1..4).all(|p| !outs[p].is_empty()),
-        Duration::from_secs(120),
-        203,
-    );
-    assert!(
-        report.completed,
-        "live replicas delivered despite the crashed view-0 coordinator"
-    );
-    assert!(
-        report.outputs[0].is_empty(),
-        "the crashed replica stays silent"
-    );
-    let reference: Vec<(u64, Vec<u8>)> = report.outputs[1]
+    assert_eq!(orders[0].len(), 2);
+    let jittered: u64 = reports
         .iter()
-        .map(|d| (d.seq, d.payload.clone()))
+        .flatten()
+        .map(|r| r.chaos_counts.3 + r.chaos_counts.4)
+        .sum();
+    assert!(jittered > 0, "frames were delayed or reordered");
+    for (p, got) in orders.iter().enumerate().skip(1) {
+        assert_eq!(got, &orders[0], "party {p} agrees on the order");
+    }
+}
+
+/// The failure-detector baseline's view change is driven *only* by
+/// `on_tick`: with the view-0 coordinator (party 0) never started, as
+/// in the benchmark's crash workload, the live replicas must suspect it
+/// on timeout and elect the view-1 coordinator — which deadlocks unless
+/// the node loop fires periodic ticks.
+#[test]
+fn crashed_coordinator_is_replaced_via_ticks_on_threads() {
+    let structure = TrustStructure::threshold(4, 1).unwrap();
+    let nodes = fd_nodes(&structure, 10)
+        .into_iter()
+        .enumerate()
+        .map(|(p, node)| {
+            let inputs = if p == 1 {
+                vec![b"survive-the-crash".to_vec()]
+            } else {
+                vec![]
+            };
+            (p != 0).then_some((node, inputs))
+        })
         .collect();
-    assert_eq!(reference, vec![(0, b"survive-the-crash".to_vec())]);
-    for p in 2..4 {
-        let got: Vec<(u64, Vec<u8>)> = report.outputs[p]
-            .iter()
-            .map(|d| (d.seq, d.payload.clone()))
-            .collect();
-        assert_eq!(got, reference, "replica {p} agrees with replica 1");
+    let reports = run_tcp_loopback(nodes, |outs: &[FdDeliver]| !outs.is_empty(), |_| {})
+        .expect("loopback sockets bind");
+    assert!(reports[0].is_none(), "the crashed replica never ran");
+    for (p, r) in reports.iter().enumerate().skip(1) {
+        let r = r.as_ref().expect("live replicas started");
+        assert!(
+            r.completed,
+            "replica {p} delivered despite the crashed view-0 coordinator"
+        );
+        assert_eq!(
+            r.outputs
+                .iter()
+                .map(|d| (d.seq, d.payload.clone()))
+                .collect::<Vec<_>>(),
+            vec![(0, b"survive-the-crash".to_vec())],
+            "replica {p}"
+        );
     }
 }
